@@ -52,12 +52,13 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Fiber yield / poison points (GL002): functions a rank can call while
-/// the event engine parks its fiber, or that notify under the registry's
-/// own map locks. Holding a `parking_lot` guard across any of these is
-/// the M:N engine's signature deadlock.
+/// the engine parks its fiber, or that wake every fiber. Holding a
+/// `parking_lot` guard across any of these is the M:N engine's signature
+/// deadlock.
 pub const YIELD_FNS: &[&str] = &[
     "block_current",
     "pump_mailbox",
+    "park_waiter",
     "report_quiescent_deadlock",
     "poison",
 ];
@@ -269,9 +270,10 @@ fn gl001_unsafe_needs_safety(ctx: &FileCtx, out: &mut Vec<Finding>) {
 
 /// GL002: a `parking_lot` guard (`let g = ….lock();`) live across a
 /// fiber yield / poison point. The registry's waiter loops must `drop`
-/// their state-map guard before blocking or poisoning: `poison` notifies
-/// *under* those map locks, and a parked fiber holding one deadlocks the
-/// machine in a way no schedule-based test reliably reproduces.
+/// their state-map guard before blocking or poisoning: a fiber parked
+/// while holding one stalls its worker thread under every rank that next
+/// takes the lock, which deadlocks the machine in a way no schedule-based
+/// test reliably reproduces.
 fn gl002_guard_across_yield(ctx: &FileCtx, out: &mut Vec<Finding>) {
     #[derive(Clone)]
     struct Guard {
@@ -373,7 +375,7 @@ fn gl002_guard_across_yield(ctx: &FileCtx, out: &mut Vec<Finding>) {
                                 t.line,
                                 format!(
                                     "lock guard{} {} live across yield point `{}`; drop the \
-                                     guard before blocking (poison notifies under the map locks)",
+                                     guard before blocking (a parked fiber keeps holding it)",
                                     if held.len() > 1 { "s" } else { "" },
                                     held.join(", "),
                                     name

@@ -13,10 +13,12 @@
 //!
 //! Five rule families:
 //!
-//! * **Deadlock (DL001)** — a wait-for graph over blocked ranks; when every
-//!   live rank is blocked and nothing has changed for
-//!   [`DEADLOCK_GRACE`], the probe reports the cycle
-//!   (ranks, tags, communicators) and aborts the run instead of hanging it.
+//! * **Deadlock (DL001)** — a wait-for graph over blocked ranks. The rank
+//!   engine knows the exact moment every task is blocked with no wake in
+//!   flight; at that moment it runs
+//!   [`CheckSink::probe_deadlock_quiescent`], which reports the cycle
+//!   (ranks, tags, communicators) — or the finished rank a waiter depends
+//!   on — and the run aborts instead of hanging. No timer is involved.
 //! * **Message hygiene (MSG001)** — mailbox residue at finalize: every
 //!   sent-but-never-received message is named.
 //! * **Collective lockstep (COLL001/COLL002)** — all members of a
@@ -60,5 +62,5 @@ pub mod sink;
 pub mod tagspace;
 pub mod violation;
 
-pub use sink::{CheckSink, CollEvent, CollKind, RankChecker, DEADLOCK_GRACE};
+pub use sink::{CheckSink, CollEvent, CollKind, RankChecker};
 pub use violation::{Rule, Violation};

@@ -1,5 +1,5 @@
 //! The checking sink: machine-wide shared state, per-rank hook handles,
-//! and the deadlock probe.
+//! and the deadlock probe the rank engine runs at quiescence.
 
 use crate::tagspace;
 use crate::violation::{Rule, Violation};
@@ -7,19 +7,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// How long the whole machine must sit blocked with no state change before
-/// the timed probe declares a deadlock. Only the thread-per-rank engine
-/// needs this: its blocked waiters poll [`CheckSink::probe_deadlock`] on a
-/// timer, so the grace must comfortably exceed the poll interval for an
-/// in-flight message (sent, not yet polled) to never look like a deadlock.
-/// The event-driven engine instead calls
-/// [`CheckSink::probe_deadlock_quiescent`] at the exact moment its
-/// scheduler proves no task can ever run again — no timer, no grace.
-pub const DEADLOCK_GRACE: Duration = Duration::from_millis(200);
 
 /// Which collective a rank entered (the lockstep signature's first field).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,8 +113,6 @@ struct State {
     colls: HashMap<(u64, u64), CollSite>,
     monitors: HashMap<usize, MonState>,
     straddle_flagged: HashSet<(usize, usize)>,
-    probe_epoch: u64,
-    probe_since: Instant,
     deadlock_msg: Option<String>,
     violations: Vec<Violation>,
 }
@@ -146,8 +132,6 @@ impl State {
             colls: HashMap::new(),
             monitors: HashMap::new(),
             straddle_flagged: HashSet::new(),
-            probe_epoch: 0,
-            probe_since: Instant::now(),
             deadlock_msg: None,
             violations: Vec::new(),
         }
@@ -263,78 +247,22 @@ impl State {
         }
         s
     }
-}
 
-struct Shared {
-    /// Bumped on every blocking-relevant state change; the probe only
-    /// declares a deadlock after the epoch has been stable for
-    /// [`DEADLOCK_GRACE`].
-    epoch: AtomicU64,
-    state: Mutex<State>,
-}
-
-impl Shared {
-    fn bump(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn probe(&self) -> Option<String> {
-        let epoch = self.epoch.load(Ordering::SeqCst);
-        let mut st = self.state.lock();
-        if st.deadlock_msg.is_some() {
+    /// The deadlock probe. The engine calls it at quiescence, having
+    /// already proved every task is blocked and no wake is in flight, so
+    /// there is nothing to wait out: declare immediately if every
+    /// unfinished rank holds a wait record. Latches, and records DL001
+    /// once.
+    fn probe_quiescent(&mut self) -> Option<String> {
+        if self.deadlock_msg.is_some() {
             return None; // already declared; the poison path reports it
         }
-        if st.probe_epoch != epoch {
-            st.probe_epoch = epoch;
-            st.probe_since = Instant::now();
-            return None;
-        }
-        if st.waits.is_empty() {
-            return None;
-        }
         let mut blocked = Vec::new();
-        for r in 0..st.waits.len() {
-            if st.finished[r] {
+        for r in 0..self.waits.len() {
+            if self.finished[r] {
                 continue;
             }
-            if matches!(st.waits[r], Wait::Running) {
-                return None; // someone can still make progress
-            }
-            blocked.push(r);
-        }
-        if blocked.is_empty() || st.probe_since.elapsed() < DEADLOCK_GRACE {
-            return None;
-        }
-        let msg = st.describe_deadlock(&blocked);
-        let t = blocked
-            .iter()
-            .map(|&r| st.last_clock[r])
-            .fold(0.0f64, f64::max);
-        st.violations
-            .push(Violation::new(Rule::Deadlock, blocked, t, msg.clone()));
-        st.deadlock_msg = Some(msg.clone());
-        Some(msg)
-    }
-
-    /// Grace-free probe for the event engine's quiescence signal. The
-    /// scheduler has already proved every task is blocked and no wake is
-    /// in flight, so there is no epoch to re-check and no message to wait
-    /// out: declare immediately if every unfinished rank holds a wait
-    /// record. Latches and records DL001 exactly like the timed probe.
-    fn probe_quiescent(&self) -> Option<String> {
-        let mut st = self.state.lock();
-        if st.deadlock_msg.is_some() {
-            return None; // already declared; the poison path reports it
-        }
-        if st.waits.is_empty() {
-            return None;
-        }
-        let mut blocked = Vec::new();
-        for r in 0..st.waits.len() {
-            if st.finished[r] {
-                continue;
-            }
-            if matches!(st.waits[r], Wait::Running) {
+            if matches!(self.waits[r], Wait::Running) {
                 return None;
             }
             blocked.push(r);
@@ -342,14 +270,14 @@ impl Shared {
         if blocked.is_empty() {
             return None;
         }
-        let msg = st.describe_deadlock(&blocked);
+        let msg = self.describe_deadlock(&blocked);
         let t = blocked
             .iter()
-            .map(|&r| st.last_clock[r])
+            .map(|&r| self.last_clock[r])
             .fold(0.0f64, f64::max);
-        st.violations
+        self.violations
             .push(Violation::new(Rule::Deadlock, blocked, t, msg.clone()));
-        st.deadlock_msg = Some(msg.clone());
+        self.deadlock_msg = Some(msg.clone());
         Some(msg)
     }
 }
@@ -360,7 +288,7 @@ impl Shared {
 /// ([`CheckSink::begin_run`] resets all state).
 #[derive(Clone, Default)]
 pub struct CheckSink {
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Mutex<State>>>,
 }
 
 impl CheckSink {
@@ -372,10 +300,7 @@ impl CheckSink {
     /// A sink that enforces the full rule set.
     pub fn enabled() -> Self {
         Self {
-            shared: Some(Arc::new(Shared {
-                epoch: AtomicU64::new(0),
-                state: Mutex::new(State::new(Vec::new())),
-            })),
+            shared: Some(Arc::new(Mutex::new(State::new(Vec::new())))),
         }
     }
 
@@ -389,8 +314,7 @@ impl CheckSink {
     /// rank `r` placed on node `node_of[r]`.
     pub fn begin_run(&self, node_of: Vec<usize>) {
         if let Some(sh) = &self.shared {
-            *sh.state.lock() = State::new(node_of);
-            sh.bump();
+            *sh.lock() = State::new(node_of);
         }
     }
 
@@ -404,26 +328,20 @@ impl CheckSink {
     }
 
     /// Run the deadlock probe: `Some(diagnostic)` the first time a
-    /// deadlock is declared. Intended to be called from blocked waiters'
-    /// poll loops.
-    pub fn probe_deadlock(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe())
-    }
-
-    /// Grace-free variant for the event-driven scheduler: called once,
-    /// at the moment the engine observes quiescence (every task blocked,
-    /// no wake in flight), instead of on a timer. See
-    /// [`DEADLOCK_GRACE`] for why the timed probe needs a grace period
-    /// and this one does not.
+    /// deadlock is declared. The rank engine calls it once, at the moment
+    /// it observes quiescence (every task blocked, no wake in flight), so
+    /// no timer and no grace period are involved.
     pub fn probe_deadlock_quiescent(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe_quiescent())
+        self.shared
+            .as_ref()
+            .and_then(|sh| sh.lock().probe_quiescent())
     }
 
     /// The deadlock diagnostic, if one was declared this run.
     pub fn deadlock_report(&self) -> Option<String> {
         self.shared
             .as_ref()
-            .and_then(|sh| sh.state.lock().deadlock_msg.clone())
+            .and_then(|sh| sh.lock().deadlock_msg.clone())
     }
 
     /// The abort message blocked ranks should panic with once the run is
@@ -443,7 +361,7 @@ impl CheckSink {
         let Some(sh) = &self.shared else {
             return;
         };
-        let mut st = sh.state.lock();
+        let mut st = sh.lock();
         for &(src, comm, tag, arrival) in leftovers {
             let msg = format!(
                 "finalize: rank {rank}'s mailbox still holds a message from rank {src} \
@@ -463,7 +381,7 @@ impl CheckSink {
     pub fn violations(&self) -> Vec<Violation> {
         self.shared
             .as_ref()
-            .map(|sh| sh.state.lock().violations.clone())
+            .map(|sh| sh.lock().violations.clone())
             .unwrap_or_default()
     }
 }
@@ -472,7 +390,7 @@ impl CheckSink {
 /// parent sink is disabled, and none of them ever touches a virtual
 /// clock — checking a run cannot change its timings.
 pub struct RankChecker {
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<Mutex<State>>>,
     rank: usize,
     node: usize,
 }
@@ -496,7 +414,7 @@ impl RankChecker {
 
     fn with_state(&self, f: impl FnOnce(&mut State, usize, usize)) {
         if let Some(sh) = &self.shared {
-            let mut st = sh.state.lock();
+            let mut st = sh.lock();
             if self.rank < st.waits.len() {
                 f(&mut st, self.rank, self.node);
             }
@@ -528,49 +446,35 @@ impl RankChecker {
 
     /// A message left for `dst` at virtual time `t`.
     pub fn sent(&mut self, _dst: usize, _comm: u64, _tag: u64, t: f64) {
-        if let Some(sh) = &self.shared {
-            {
-                let mut st = sh.state.lock();
-                if self.rank < st.waits.len() {
-                    st.note_clock(self.rank, t);
-                }
-            }
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| st.note_clock(rank, t));
     }
 
     /// The rank is about to block in a receive.
     pub fn block_recv(&mut self, src: usize, comm: u64, tag: u64, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.waits[rank] = Wait::Recv { src, comm, tag };
-            });
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.waits[rank] = Wait::Recv { src, comm, tag };
+        });
     }
 
     /// The receive completed at `t` for a message that arrived at
     /// `arrival` (CLK002 checks causality).
     pub fn unblock_recv(&mut self, arrival: f64, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                if t + 1e-12 < arrival {
-                    st.violations.push(Violation::new(
-                        Rule::RecvBeforeArrival,
-                        vec![rank],
-                        t,
-                        format!(
-                            "rank {rank} completed a receive at {t:.6e}s but the message \
-                             only arrives at {arrival:.6e}s"
-                        ),
-                    ));
-                }
-                st.waits[rank] = Wait::Running;
-            });
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            if t + 1e-12 < arrival {
+                st.violations.push(Violation::new(
+                    Rule::RecvBeforeArrival,
+                    vec![rank],
+                    t,
+                    format!(
+                        "rank {rank} completed a receive at {t:.6e}s but the message \
+                         only arrives at {arrival:.6e}s"
+                    ),
+                ));
+            }
+            st.waits[rank] = Wait::Running;
+        });
     }
 
     /// The rank entered a collective. The [`CollEvent`] carries the
@@ -584,73 +488,67 @@ impl RankChecker {
             root,
             elems,
         } = ev;
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.last_coll[rank] = Some((comm, kind));
-                match st.colls.entry((comm, seq)) {
-                    Entry::Vacant(v) => {
-                        v.insert(CollSite {
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.last_coll[rank] = Some((comm, kind));
+            match st.colls.entry((comm, seq)) {
+                Entry::Vacant(v) => {
+                    v.insert(CollSite {
+                        kind,
+                        root,
+                        elems,
+                        first_rank: rank,
+                        seen: 1,
+                        expected: members.len(),
+                        reported: false,
+                    });
+                }
+                Entry::Occupied(mut o) => {
+                    let site = o.get_mut();
+                    site.seen += 1;
+                    let mismatch = (site.kind, site.root, site.elems) != (kind, root, elems);
+                    if mismatch && !site.reported {
+                        site.reported = true;
+                        let msg = format!(
+                            "collective mismatch on comm {comm} at sequence {seq}: \
+                             rank {} issued {}(root={}, elems={}) but rank {rank} \
+                             issued {}(root={}, elems={})",
+                            site.first_rank,
+                            site.kind,
+                            fmt_root(site.root),
+                            site.elems,
                             kind,
-                            root,
-                            elems,
-                            first_rank: rank,
-                            seen: 1,
-                            expected: members.len(),
-                            reported: false,
-                        });
-                    }
-                    Entry::Occupied(mut o) => {
-                        let site = o.get_mut();
-                        site.seen += 1;
-                        let mismatch = (site.kind, site.root, site.elems) != (kind, root, elems);
-                        if mismatch && !site.reported {
-                            site.reported = true;
-                            let msg = format!(
-                                "collective mismatch on comm {comm} at sequence {seq}: \
-                                 rank {} issued {}(root={}, elems={}) but rank {rank} \
-                                 issued {}(root={}, elems={})",
-                                site.first_rank,
-                                site.kind,
-                                fmt_root(site.root),
-                                site.elems,
-                                kind,
-                                fmt_root(root),
-                                elems
-                            );
-                            let first = site.first_rank;
-                            st.violations.push(Violation::new(
-                                Rule::CollectiveMismatch,
-                                vec![first, rank],
-                                t,
-                                msg,
-                            ));
-                        } else if site.seen >= site.expected {
-                            o.remove(); // all members checked in; site complete
-                        }
+                            fmt_root(root),
+                            elems
+                        );
+                        let first = site.first_rank;
+                        st.violations.push(Violation::new(
+                            Rule::CollectiveMismatch,
+                            vec![first, rank],
+                            t,
+                            msg,
+                        ));
+                    } else if site.seen >= site.expected {
+                        o.remove(); // all members checked in; site complete
                     }
                 }
-                if matches!(kind, CollKind::Barrier | CollKind::Split) {
-                    st.waits[rank] = Wait::Coll {
-                        comm,
-                        seq,
-                        members: Arc::new(members.to_vec()),
-                    };
-                }
-            });
-            sh.bump();
-        }
+            }
+            if matches!(kind, CollKind::Barrier | CollKind::Split) {
+                st.waits[rank] = Wait::Coll {
+                    comm,
+                    seq,
+                    members: Arc::new(members.to_vec()),
+                };
+            }
+        });
     }
 
     /// A blocking collective (barrier/split) released this rank at `t`.
     pub fn coll_done(&mut self, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.waits[rank] = Wait::Running;
-            });
-            sh.bump();
-        }
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.waits[rank] = Wait::Running;
+        });
     }
 
     /// Tag-space audit for one collective: sequence number `seq` and (for
@@ -795,24 +693,11 @@ impl RankChecker {
     /// The rank's closure returned at virtual time `t`; it no longer
     /// participates in the wait-for graph.
     pub fn rank_finished(&mut self, t: f64) {
-        if let Some(sh) = &self.shared {
-            self.with_state(|st, rank, _| {
-                st.note_clock(rank, t);
-                st.finished[rank] = true;
-                st.waits[rank] = Wait::Running;
-            });
-            sh.bump();
-        }
-    }
-
-    /// See [`CheckSink::probe_deadlock`].
-    pub fn probe_deadlock(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe())
-    }
-
-    /// See [`CheckSink::probe_deadlock_quiescent`].
-    pub fn probe_deadlock_quiescent(&self) -> Option<String> {
-        self.shared.as_ref().and_then(|sh| sh.probe_quiescent())
+        self.with_state(|st, rank, _| {
+            st.note_clock(rank, t);
+            st.finished[rank] = true;
+            st.waits[rank] = Wait::Running;
+        });
     }
 
     /// See [`CheckSink::abort_message`].
@@ -820,7 +705,7 @@ impl RankChecker {
         let report = self
             .shared
             .as_ref()
-            .and_then(|sh| sh.state.lock().deadlock_msg.clone());
+            .and_then(|sh| sh.lock().deadlock_msg.clone());
         match report {
             Some(m) => format!("simulated MPI run aborted: {m}"),
             None => "simulated MPI run aborted: a peer rank failed".to_string(),
@@ -856,7 +741,7 @@ mod tests {
         assert!(!c.enabled());
         c.compute(1.0, 0.5); // would be CLK001 if enabled
         c.block_recv(1, 0, 7, 0.0);
-        assert!(s.probe_deadlock().is_none());
+        assert!(s.probe_deadlock_quiescent().is_none());
         assert!(s.violations().is_empty());
     }
 
@@ -876,6 +761,36 @@ mod tests {
         c0.rank_finished(2.0);
         c1.rank_finished(2.0);
         assert!(s.violations().is_empty(), "{:?}", s.violations());
+    }
+
+    #[test]
+    fn hooks_from_many_threads_share_one_state() {
+        // Rank hooks run on whichever worker thread hosts the rank; drive
+        // them from plain threads (no fiber switch, so ThreadSanitizer can
+        // follow it) and check the shared state stays consistent.
+        let n = 8;
+        let s = sink(n);
+        std::thread::scope(|scope| {
+            for rank in 0..n {
+                let mut c = s.checker(rank, 0);
+                scope.spawn(move || {
+                    let peer = (rank + 1) % n;
+                    for i in 0..200 {
+                        let t = i as f64;
+                        c.compute(t, t + 0.5);
+                        c.sent(peer, 0, 7, t + 0.5);
+                        c.block_recv(peer, 0, 7, t + 0.5);
+                        c.unblock_recv(t + 0.5, t + 1.0);
+                    }
+                    c.rank_finished(200.0);
+                });
+            }
+        });
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        assert!(
+            s.probe_deadlock_quiescent().is_none(),
+            "every rank finished"
+        );
     }
 
     #[test]
@@ -928,7 +843,7 @@ mod tests {
         assert!(s.violations().is_empty());
         let sh = s.shared.as_ref().unwrap();
         assert!(
-            sh.state.lock().colls.is_empty(),
+            sh.lock().colls.is_empty(),
             "completed sites must be garbage-collected"
         );
     }
@@ -1015,31 +930,6 @@ mod tests {
         let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
         c0.block_recv(1, 0, 7, 0.0);
-        c1.block_recv(0, 0, 9, 0.0);
-        assert!(s.probe_deadlock().is_none(), "grace period must hold");
-        std::thread::sleep(DEADLOCK_GRACE + Duration::from_millis(30));
-        let msg = s.probe_deadlock().expect("deadlock must be declared");
-        assert!(msg.contains("cycle: 0 -> 1 -> 0"), "{msg}");
-        assert!(msg.contains("tag=7"), "{msg}");
-        let v = s.violations();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Deadlock);
-        assert_eq!(v[0].ranks, vec![0, 1]);
-        // Declared once; later probes stay quiet.
-        assert!(s.probe_deadlock().is_none());
-        assert!(
-            s.abort_message().contains("deadlock"),
-            "{}",
-            s.abort_message()
-        );
-    }
-
-    #[test]
-    fn quiescent_probe_declares_without_grace() {
-        let s = sink(2);
-        let mut c0 = s.checker(0, 0);
-        let mut c1 = s.checker(1, 0);
-        c0.block_recv(1, 0, 7, 0.0);
         assert!(
             s.probe_deadlock_quiescent().is_none(),
             "rank 1 is still running"
@@ -1047,14 +937,20 @@ mod tests {
         c1.block_recv(0, 0, 9, 0.0);
         let msg = s
             .probe_deadlock_quiescent()
-            .expect("quiescence needs no grace period");
+            .expect("deadlock must be declared");
         assert!(msg.contains("cycle: 0 -> 1 -> 0"), "{msg}");
+        assert!(msg.contains("tag=7"), "{msg}");
         let v = s.violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::Deadlock);
-        // Declared once; both probes stay quiet afterwards.
+        assert_eq!(v[0].ranks, vec![0, 1]);
+        // Declared once; later probes stay quiet.
         assert!(s.probe_deadlock_quiescent().is_none());
-        assert!(s.probe_deadlock().is_none());
+        assert!(
+            s.abort_message().contains("deadlock"),
+            "{}",
+            s.abort_message()
+        );
     }
 
     #[test]
@@ -1064,12 +960,9 @@ mod tests {
         let mut c1 = s.checker(1, 0);
         c1.rank_finished(1.0);
         c0.block_recv(1, 0, 4, 0.5);
-        assert!(
-            s.probe_deadlock().is_none(),
-            "first probe latches the epoch"
-        );
-        std::thread::sleep(DEADLOCK_GRACE + Duration::from_millis(30));
-        let msg = s.probe_deadlock().expect("all live ranks are blocked");
+        let msg = s
+            .probe_deadlock_quiescent()
+            .expect("all live ranks are blocked");
         assert!(msg.contains("rank 0 waits on rank 1"), "{msg}");
         assert!(msg.contains("already finished"), "{msg}");
     }
@@ -1078,30 +971,14 @@ mod tests {
     fn running_rank_prevents_deadlock_declaration() {
         let s = sink(2);
         let mut c0 = s.checker(0, 0);
-        c0.block_recv(1, 0, 4, 0.0);
-        // Rank 1 is Running: never a deadlock, no matter how long we wait.
-        std::thread::sleep(DEADLOCK_GRACE + Duration::from_millis(30));
-        assert!(s.probe_deadlock().is_none());
-        assert!(s.violations().is_empty());
-    }
-
-    #[test]
-    fn epoch_bump_resets_the_grace_timer() {
-        let s = sink(2);
-        let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
         c0.block_recv(1, 0, 4, 0.0);
+        // Rank 1 is Running: never a deadlock.
+        assert!(s.probe_deadlock_quiescent().is_none());
+        // It blocks, then wakes again before the probe: still no deadlock.
         c1.block_recv(0, 0, 4, 0.0);
-        assert!(s.probe_deadlock().is_none());
-        std::thread::sleep(Duration::from_millis(120));
-        // Progress happens: rank 1 wakes up and re-blocks.
         c1.unblock_recv(0.0, 0.1);
-        c1.block_recv(0, 0, 5, 0.1);
-        assert!(s.probe_deadlock().is_none(), "epoch changed: timer resets");
-        std::thread::sleep(Duration::from_millis(120));
-        // Only 120 ms of stability since the reset: still within grace.
-        assert!(s.probe_deadlock().is_none());
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(s.probe_deadlock().is_some());
+        assert!(s.probe_deadlock_quiescent().is_none());
+        assert!(s.violations().is_empty());
     }
 }

@@ -576,43 +576,33 @@ pub fn coll_suite(quick: bool) -> BenchSuite {
     }
 }
 
-/// The pinned scheduler suite: wall-clock of the rank engines themselves,
+/// The pinned scheduler suite: wall-clock of the rank engine itself,
 /// with no solver in the way. `spinup` measures launching P ranks that do
 /// nothing but one barrier and exiting; `barrier_storm` drives 20
 /// back-to-back barriers, the wake-heaviest pattern the registry supports
-/// (every barrier blocks and wakes all P ranks). The event engine is gated
-/// at 1k and 10k ranks; a thread-engine entry at 1k keeps the fiber-vs-
-/// thread spin-up ratio visible in every artifact — 10k OS threads is the
-/// configuration the M:N engine exists to avoid, so it has no entry.
-/// Worker count is pinned (not `available_parallelism`) so runner shape
-/// can't move the numbers. Virtual seconds ride along as the determinism
-/// canary, exactly like the campaign suite.
+/// (every barrier blocks and wakes all P ranks). Both are gated at 1k and
+/// 10k ranks. Worker count is pinned (not `available_parallelism`) so
+/// runner shape can't move the numbers. Virtual seconds ride along as the
+/// determinism canary, exactly like the campaign suite.
 pub fn sched_suite(quick: bool) -> BenchSuite {
     use greenla_cluster::placement::Placement;
     use greenla_cluster::spec::ClusterSpec;
     use greenla_cluster::PowerModel;
-    use greenla_mpi::{Machine, SchedulerKind};
+    use greenla_mpi::Machine;
 
     let reps = if quick { 3 } else { 5 };
-    let machine = |ranks: usize, kind: SchedulerKind| {
+    let machine = |ranks: usize| {
         let spec = ClusterSpec::test_cluster(ranks.div_ceil(8), 4);
         let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad).unwrap();
-        let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 17)
+        Machine::new(spec, placement, PowerModel::deterministic(), 17)
             .unwrap()
-            .with_scheduler(kind);
-        if kind == SchedulerKind::EventDriven {
-            m.set_sched_workers(2);
-        }
-        m
+            .with_sched_workers(2)
     };
     let mut entries = Vec::new();
-    let mut push = |id: String,
-                    p: usize,
-                    kind: SchedulerKind,
-                    body: &(dyn Fn(&mut greenla_mpi::RankCtx) + Sync)| {
+    let mut push = |id: String, p: usize, body: &(dyn Fn(&mut greenla_mpi::RankCtx) + Sync)| {
         let mut virtual_s = 0.0;
         let wall = median_wall(reps, || {
-            virtual_s = machine(p, kind).run(body).makespan;
+            virtual_s = machine(p).run(body).makespan;
         });
         entries.push(BenchEntry {
             id,
@@ -633,20 +623,17 @@ pub fn sched_suite(quick: bool) -> BenchSuite {
             ctx.barrier(&world);
         }
     };
-    let mut cases: Vec<(usize, SchedulerKind, &str)> = vec![
-        (1_000, SchedulerKind::ThreadPerRank, "thread"),
-        (1_000, SchedulerKind::EventDriven, "event"),
-        (10_000, SchedulerKind::EventDriven, "event"),
-    ];
-    // Fibers only exist on x86_64; elsewhere only the thread entries run
-    // (the gate reports the event entries as Missing, which is accurate).
-    if !cfg!(target_arch = "x86_64") {
-        cases.retain(|&(_, kind, _)| kind == SchedulerKind::ThreadPerRank);
-    }
-    for &(p, kind, tag) in &cases {
+    // Fibers only exist on x86_64; elsewhere the suite is empty (the gate
+    // reports every entry as Missing, which is accurate).
+    let sizes: &[usize] = if cfg!(target_arch = "x86_64") {
+        &[1_000, 10_000]
+    } else {
+        &[]
+    };
+    for &p in sizes {
         let pk = p / 1_000;
-        push(format!("spinup_{tag}_p{pk}k"), p, kind, &spinup);
-        push(format!("barrier_storm_{tag}_p{pk}k"), p, kind, &storm);
+        push(format!("spinup_event_p{pk}k"), p, &spinup);
+        push(format!("barrier_storm_event_p{pk}k"), p, &storm);
     }
     BenchSuite {
         suite: "sched".into(),

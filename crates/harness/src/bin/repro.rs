@@ -15,20 +15,14 @@
 //!                                         plan into every campaign run and
 //!                                         report injected vs. observed vs.
 //!                                         recovered faults)
-//!       [--scheduler thread|event]       (rank engine for every simulated
-//!                                         run; virtual results are engine-
-//!                                         invariant, but `event` runs ranks
-//!                                         as fibers so P is no longer
-//!                                         bounded by OS thread limits)
 //!       [--ranks P1,P2,...]              (override the campaign's rank
-//!                                         counts; with --scheduler event,
-//!                                         counts way past the old ~1296
-//!                                         practical ceiling are fine)
+//!                                         counts; ranks are fibers, so
+//!                                         counts far past 1296 are fine)
 //! ```
 //!
 //! `--exp scale` is the large-P smoke: it skips the solver campaign and
 //! drives one barrier + broadcast + allreduce workout at the largest
-//! `--ranks` value (default 10000) on the event engine, writing a
+//! `--ranks` value (default 10000), writing a
 //! `scale_smoke.json` artifact with wall/virtual timings.
 //!
 //! Functional-tier figures come from real monitored solves on the scaled
@@ -53,7 +47,6 @@ struct Args {
     trace_out: Option<PathBuf>,
     check: bool,
     faults: Option<PathBuf>,
-    scheduler: Option<greenla_mpi::SchedulerKind>,
     ranks: Option<Vec<usize>>,
     bench_out: Option<PathBuf>,
     bench_campaign: Option<PathBuf>,
@@ -73,7 +66,6 @@ fn parse_args() -> Args {
         trace_out: None,
         check: false,
         faults: None,
-        scheduler: None,
         ranks: None,
         bench_out: None,
         bench_campaign: None,
@@ -98,13 +90,6 @@ fn parse_args() -> Args {
             "--check" => args.check = true,
             "--faults" => {
                 args.faults = Some(PathBuf::from(it.next().expect("--faults needs a value")))
-            }
-            "--scheduler" => {
-                let v = it.next().expect("--scheduler needs a value");
-                args.scheduler = Some(greenla_mpi::SchedulerKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--scheduler wants thread|event, got {v:?}");
-                    std::process::exit(2);
-                }));
             }
             "--ranks" => {
                 let v = it.next().expect("--ranks needs a value");
@@ -149,7 +134,7 @@ fn parse_args() -> Args {
             }
             "--bench-quick" => args.bench_quick = true,
             "--help" | "-h" => {
-                println!("usage: repro [--exp all|table1|fig3..fig7|summary|overhead|powercap|trace|scale|sparse] [--tier functional|model|both] [--reps N] [--smoke] [--out DIR] [--trace-out PATH] [--check] [--faults PLAN.json] [--scheduler thread|event] [--ranks P1,P2,...] [--bench-out PATH] [--bench-campaign PATH] [--bench-coll PATH] [--bench-sched PATH] [--bench-baseline PATH] [--bench-quick]");
+                println!("usage: repro [--exp all|table1|fig3..fig7|summary|overhead|powercap|trace|scale|sparse] [--tier functional|model|both] [--reps N] [--smoke] [--out DIR] [--trace-out PATH] [--check] [--faults PLAN.json] [--ranks P1,P2,...] [--bench-out PATH] [--bench-campaign PATH] [--bench-coll PATH] [--bench-sched PATH] [--bench-baseline PATH] [--bench-quick]");
                 std::process::exit(0);
             }
             other => {
@@ -233,9 +218,6 @@ fn main() {
         if let Some(path) = &args.bench_sched {
             eprintln!("running scheduler bench suite{quick}");
             let report = BenchReport::new(vec![sched_suite(args.bench_quick)]);
-            if let Some(sp) = report.speedup("sched", "spinup_event_p1k", "spinup_thread_p1k") {
-                eprintln!("1k-rank spin-up, fibers vs threads: {sp:.2}x");
-            }
             write(path, &report);
         }
         // All suites in one file — the shape `bench_gate --baseline` expects.
@@ -255,28 +237,26 @@ fn main() {
         return;
     }
 
-    // The large-P smoke: no solver, no campaign — prove the event engine
+    // The large-P smoke: no solver, no campaign — prove the rank engine
     // spins up, synchronises and tears down five-digit rank counts inside
     // a CI step timeout, and leave a machine-readable artifact behind.
     if args.exp == "scale" {
         use greenla_cluster::placement::{LoadLayout, Placement};
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
-        use greenla_mpi::{Machine, SchedulerKind};
+        use greenla_mpi::Machine;
 
         let ranks = args
             .ranks
             .as_ref()
             .and_then(|r| r.iter().copied().max())
             .unwrap_or(10_000);
-        let scheduler = args.scheduler.unwrap_or(SchedulerKind::EventDriven);
-        eprintln!("scale smoke: {ranks} ranks on the {scheduler} engine");
+        eprintln!("scale smoke: {ranks} ranks");
         let spec = ClusterSpec::test_cluster(ranks.div_ceil(8), 4);
         let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad)
             .expect("placement for scale smoke");
         let machine = Machine::new(spec, placement, PowerModel::deterministic(), 42)
-            .expect("machine for scale smoke")
-            .with_scheduler(scheduler);
+            .expect("machine for scale smoke");
         let wall = Instant::now();
         let out = machine.run(|ctx| {
             let world = ctx.world();
@@ -294,7 +274,6 @@ fn main() {
         #[derive(serde::Serialize)]
         struct ScaleSmoke {
             ranks: usize,
-            scheduler: String,
             wall_s: f64,
             virtual_makespan_s: f64,
             msgs: u64,
@@ -302,7 +281,6 @@ fn main() {
         }
         let artifact = ScaleSmoke {
             ranks,
-            scheduler: scheduler.to_string(),
             wall_s,
             virtual_makespan_s: out.makespan,
             msgs: out.traffic.msgs,
@@ -342,14 +320,11 @@ fn main() {
         grid.reps = args.reps;
         grid.check = args.check;
         grid.faults = fault_plan.clone();
-        if let Some(kind) = args.scheduler {
-            grid.scheduler = kind;
-        }
         if let Some(ranks) = &args.ranks {
             grid.ranks = ranks.clone();
         }
         eprintln!(
-            "running functional campaign: dims {:?} × ranks {:?} × 3 layouts × 2 solvers × {} reps{}{}",
+            "running functional campaign: dims {:?} × ranks {:?} × 3 layouts × 2 solvers × {} reps{}",
             grid.dims,
             grid.ranks,
             grid.reps,
@@ -358,10 +333,6 @@ fn main() {
                 (true, false) => " [checked]",
                 (false, true) => " [faulted]",
                 (false, false) => "",
-            },
-            match grid.scheduler {
-                greenla_mpi::SchedulerKind::ThreadPerRank => "",
-                greenla_mpi::SchedulerKind::EventDriven => " [event engine]",
             }
         );
         let ds = Dataset::campaign(&grid, |msg| {

@@ -3,7 +3,7 @@
 use greenla_cluster::placement::LoadLayout;
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_ime::par::ImepOptions;
-use greenla_mpi::{FaultPlan, SchedulerKind};
+use greenla_mpi::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 /// Which solver a run exercises.
@@ -104,11 +104,6 @@ pub struct FunctionalGrid {
     /// (`repro --faults plan.json`); `None` disables all fault hooks.
     #[serde(default = "Default::default")]
     pub faults: Option<FaultPlan>,
-    /// Rank-scheduling engine for every run of the campaign
-    /// (`repro --scheduler event`). Virtual-time results are engine-
-    /// invariant; the knob trades OS threads for fibers at large P.
-    #[serde(default = "Default::default")]
-    pub scheduler: SchedulerKind,
     /// Back-to-back solves per monitored window for every run of the
     /// campaign (see `RunConfig::batch`); the runner normalises the
     /// measured figures back to one solve. `1` — what every pre-existing
@@ -143,7 +138,6 @@ impl Default for FunctionalGrid {
             base_seed: 2023,
             check: false,
             faults: None,
-            scheduler: SchedulerKind::default(),
             batch: 1,
         }
     }

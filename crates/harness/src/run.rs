@@ -40,10 +40,10 @@ pub struct RunConfig {
     /// for every pre-existing dataset) leaves all fault hooks disabled.
     #[serde(default = "Default::default")]
     pub faults: Option<FaultPlan>,
-    /// Which rank-scheduling engine executes the run. The engine never
-    /// changes measured (virtual-time) results — see the
-    /// scheduler-invariance contract in `greenla_mpi::sched` — so older
-    /// datasets deserialize to the thread-per-rank default losslessly.
+    /// Which rank-scheduling engine executes the run. The machine has a
+    /// single engine, and no engine ever changed measured (virtual-time)
+    /// results, so older datasets — with the field missing or naming the
+    /// retired `ThreadPerRank` engine — deserialize losslessly.
     #[serde(default = "Default::default")]
     pub scheduler: SchedulerKind,
     /// Back-to-back solves inside the measured region. The simulated RAPL
@@ -103,6 +103,13 @@ pub struct Measurement {
 /// solver under the white-box monitoring framework, aggregate the per-node
 /// reports.
 pub fn run_once(cfg: &RunConfig) -> Measurement {
+    run_once_with_workers(cfg, None)
+}
+
+/// [`run_once`] with the rank engine pinned to `workers` worker threads
+/// (`None`: the machine's default). Virtual-time results never depend on
+/// the worker count; the invariance tests pin it to prove that.
+pub fn run_once_with_workers(cfg: &RunConfig, workers: Option<usize>) -> Measurement {
     let node = greenla_cluster::spec::NodeSpec::test_node(cfg.cores_per_socket);
     let placement =
         Placement::layout(&node, cfg.ranks, cfg.layout).expect("grid guarantees divisibility");
@@ -115,6 +122,9 @@ pub fn run_once(cfg: &RunConfig) -> Measurement {
     let power = PowerModel::scaled_for(&node);
     let mut machine = Machine::new(spec, placement, power, cfg.seed).expect("valid machine");
     machine.set_scheduler(cfg.scheduler);
+    if let Some(w) = workers {
+        machine.set_sched_workers(w);
+    }
     if cfg.check {
         machine.set_check(CheckSink::enabled());
     }
@@ -396,7 +406,7 @@ impl Dataset {
                             seed: grid.base_seed + rep as u64,
                             check: grid.check,
                             faults: grid.faults.clone(),
-                            scheduler: grid.scheduler,
+                            scheduler: SchedulerKind::EventDriven,
                             batch: grid.batch,
                             cg_overlap: true,
                         }),
@@ -483,4 +493,39 @@ fn parallel_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Ve
     });
     indexed.sort_by_key(|(i, _)| *i);
     indexed.into_iter().map(|(_, u)| u).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn legacy_scheduler_names_still_parse() {
+        let cfg = RunConfig {
+            n: 96,
+            ranks: 16,
+            layout: LoadLayout::FullLoad,
+            solver: SolverChoice::ime_optimized(),
+            system: SystemKind::DiagDominant,
+            cores_per_socket: 4,
+            seed: 11,
+            check: false,
+            faults: None,
+            scheduler: SchedulerKind::EventDriven,
+            batch: 1,
+            cg_overlap: true,
+        };
+        let current = serde_json::to_string(&cfg).unwrap();
+        let field = "\"scheduler\":\"EventDriven\"";
+        assert!(current.contains(field), "{current}");
+        for text in [
+            current.replace(&format!("{field},"), ""),
+            current.replace("EventDriven", "ThreadPerRank"),
+            current.clone(),
+        ] {
+            let parsed: RunConfig = serde_json::from_str(&text).unwrap();
+            assert_eq!(parsed.scheduler, SchedulerKind::EventDriven, "{text}");
+            assert_eq!(serde_json::to_string(&parsed).unwrap(), current);
+        }
+    }
 }

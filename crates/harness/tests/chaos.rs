@@ -36,7 +36,7 @@ const STABLE_DIAGNOSTICS: &[&str] = &[
     "all peers gone while rank",
     "collective contract violated",
     // A wedged schedule dying loudly *is* the no-hang guarantee working:
-    // the event engine's exact-quiescence probe aborts with this prefix
+    // the rank engine's exact-quiescence probe aborts with this prefix
     // on unchecked runs (checked runs get the wait-for cycle instead).
     "deadlock:",
     // Every CgError Display starts with this prefix (enforced by a unit

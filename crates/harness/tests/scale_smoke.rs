@@ -1,4 +1,4 @@
-//! 10k-rank scale smoke: the event-driven engine must spin up, synchronise
+//! 10k-rank scale smoke: the rank engine must spin up, synchronise
 //! and tear down a five-digit rank count in seconds, not minutes.
 //!
 //! This is the harness-level twin of the `green_engine` 10k test in
@@ -8,14 +8,14 @@
 //! shows up as a CI timeout here. CI runs it as the dedicated `scale`
 //! step (see .github/workflows/ci.yml) with its own `timeout-minutes`.
 //!
-//! Fibers only exist on x86_64; the thread engine would need 10k OS
-//! threads for this, so the whole file is gated.
+//! Fibers only exist on x86_64 (the engine refuses to start elsewhere),
+//! so the whole file is gated.
 #![cfg(target_arch = "x86_64")]
 
 use greenla_cluster::placement::{LoadLayout, Placement};
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
-use greenla_mpi::{Machine, SchedulerKind};
+use greenla_mpi::Machine;
 
 const RANKS: usize = 10_000;
 
@@ -23,9 +23,7 @@ const RANKS: usize = 10_000;
 fn ten_thousand_ranks_barrier_and_bcast() {
     let spec = ClusterSpec::test_cluster(RANKS.div_ceil(8), 4);
     let placement = Placement::layout(&spec.node, RANKS, LoadLayout::FullLoad).unwrap();
-    let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 42)
-        .unwrap()
-        .with_scheduler(SchedulerKind::EventDriven);
+    let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 42).unwrap();
     m.set_sched_workers(4);
     let out = m.run(|ctx| {
         let world = ctx.world();

@@ -1,21 +1,19 @@
-//! The rank-scheduling engine must be invisible in virtual time.
+//! The rank engine must be invisible in virtual time.
 //!
-//! Wall-clock scheduling now varies along two independent axes. Within the
-//! thread-per-rank engine, blocked ranks park on condvars / blocking
-//! receives while checked runs poll (the deadlock probe needs a
-//! heartbeat). And the whole engine is swappable: `SchedulerKind::
-//! EventDriven` multiplexes every rank as a fiber over a small worker
-//! pool instead of giving it an OS thread. None of that may leak into the
-//! simulation: fixed-seed campaigns must produce byte-identical
-//! [`Measurement`]s run over run, checked and unchecked runs must agree
-//! bit for bit, both engines must agree bit for bit — including under
-//! active fault plans — and the observers must see the exact same event
-//! stream. This file is the executable form of the scheduler-invariance
-//! contract documented in ARCHITECTURE.md §10.
+//! Every rank is a fiber multiplexed over a worker pool, so wall-clock
+//! scheduling varies along three axes: run to run, with the worker count
+//! (one worker serialises every fiber, several interleave them), and with
+//! checking (a checked run does extra bookkeeping at every hook). None of
+//! that may leak into the simulation: fixed-seed campaigns must produce
+//! byte-identical [`Measurement`]s run over run, checked and unchecked
+//! runs must agree bit for bit, one worker and many must agree bit for
+//! bit — including under active fault plans — and the observers must see
+//! the exact same event stream. This file is the executable form of the
+//! invariance contract documented in ARCHITECTURE.md §10.
 
 use greenla_cluster::placement::LoadLayout;
 use greenla_harness::chrome_trace::traced_solve;
-use greenla_harness::run::{run_once, Measurement, RunConfig};
+use greenla_harness::run::{run_once, run_once_with_workers, Measurement, RunConfig};
 use greenla_harness::SolverChoice;
 use greenla_linalg::generate::SystemKind;
 use greenla_mpi::SchedulerKind;
@@ -37,7 +35,7 @@ fn cfg(solver: SolverChoice, check: bool) -> RunConfig {
         seed: 11,
         check,
         faults: None,
-        scheduler: SchedulerKind::ThreadPerRank,
+        scheduler: SchedulerKind::EventDriven,
         batch: 1,
         cg_overlap: true,
     }
@@ -87,17 +85,17 @@ fn repeated_runs_are_bit_identical() {
 }
 
 #[test]
-fn parked_and_polling_schedulers_agree() {
-    // Unchecked runs park in blocking waits; checked runs poll with a
-    // timeout so the deadlock probe keeps running. Two different wall-clock
-    // wait mechanisms, one virtual timeline. CG rides along: its halo
-    // exchange is point-to-point-heavy where the dense solvers are
-    // broadcast-heavy, so it stresses a different wait pattern.
+fn checked_and_unchecked_runs_agree() {
+    // A checked run takes the checker's lock at every hook, which shifts
+    // when each fiber blocks and wakes; the virtual timeline must not
+    // move. CG rides along: its halo exchange is point-to-point-heavy
+    // where the dense solvers are broadcast-heavy, so it stresses a
+    // different wait pattern.
     for solver in [SolverChoice::ime_optimized(), SolverChoice::cg()] {
-        let polled = run_once(&cfg(solver, true));
-        let parked = run_once(&cfg(solver, false));
-        assert!(polled.violations.is_empty(), "{:#?}", polled.violations);
-        assert_bit_identical(&polled, &parked, "checked vs unchecked");
+        let checked = run_once(&cfg(solver, true));
+        let unchecked = run_once(&cfg(solver, false));
+        assert!(checked.violations.is_empty(), "{:#?}", checked.violations);
+        assert_bit_identical(&checked, &unchecked, "checked vs unchecked");
     }
 }
 
@@ -196,21 +194,21 @@ fn recoverable_plan() -> greenla_mpi::FaultPlan {
 }
 
 #[test]
-fn faulted_runs_are_bit_identical_across_schedulers() {
+fn faulted_runs_are_bit_identical_checked_and_unchecked() {
     // Identical seed + plan ⇒ bit-identical virtual timings and identical
-    // FaultReports whether the ranks poll (checked) or park (unchecked).
+    // FaultReports whether the run is checked or not.
     let faulted = |check: bool| RunConfig {
         faults: Some(recoverable_plan()),
         ..cfg(SolverChoice::ime_optimized(), check)
     };
-    let polled = run_once(&faulted(true));
-    let parked = run_once(&faulted(false));
-    assert_bit_identical(&polled, &parked, "faulted checked vs unchecked");
+    let checked = run_once(&faulted(true));
+    let unchecked = run_once(&faulted(false));
+    assert_bit_identical(&checked, &unchecked, "faulted checked vs unchecked");
     let (pr, kr) = (
-        polled.fault_report.clone().expect("faulted run reports"),
-        parked.fault_report.clone().expect("faulted run reports"),
+        checked.fault_report.clone().expect("faulted run reports"),
+        unchecked.fault_report.clone().expect("faulted run reports"),
     );
-    assert_eq!(pr, kr, "fault accounting must not depend on the scheduler");
+    assert_eq!(pr, kr, "fault accounting must not depend on checking");
     assert!(pr.injected.total() > 0, "the plan actually fired: {pr:?}");
     assert_eq!(pr.injected.msg_drop, 2);
     assert_eq!(pr.recovered.msg_drop, 2, "drops within budget recover");
@@ -220,7 +218,7 @@ fn faulted_runs_are_bit_identical_across_schedulers() {
     assert_eq!(pr.recovered.column_loss, 1);
     // And the repeat is bit-identical too.
     let again = run_once(&faulted(false));
-    assert_bit_identical(&parked, &again, "faulted repeat");
+    assert_bit_identical(&unchecked, &again, "faulted repeat");
     assert_eq!(again.fault_report.unwrap(), kr);
 }
 
@@ -228,8 +226,8 @@ fn faulted_runs_are_bit_identical_across_schedulers() {
 fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
     // The allreduce/allgather families switch algorithms at 512 B
     // (64 f64 elements). Drive both sides of the switch — one element
-    // below, at, and above — under an active fault plan, checked
-    // (polling) and unchecked (parked): virtual clocks, traffic and every
+    // below, at, and above — under an active fault plan, checked and
+    // unchecked: virtual clocks, traffic and every
     // rank's numerical results must be bit-identical, and the lockstep
     // checker must see matching collective signatures on both paths.
     use greenla_cluster::placement::Placement;
@@ -288,33 +286,33 @@ fn collectives_straddling_the_size_switch_are_scheduler_invariant() {
         assert!(violations.is_empty(), "checked={check}: {violations:#?}");
         out
     };
-    let polled = run(true);
-    let parked = run(false);
+    let checked = run(true);
+    let unchecked = run(false);
     assert_eq!(
-        polled.makespan.to_bits(),
-        parked.makespan.to_bits(),
-        "virtual makespan must not depend on the scheduler"
+        checked.makespan.to_bits(),
+        unchecked.makespan.to_bits(),
+        "virtual makespan must not depend on checking"
     );
-    for (r, (a, b)) in polled
+    for (r, (a, b)) in checked
         .final_clocks
         .iter()
-        .zip(&parked.final_clocks)
+        .zip(&unchecked.final_clocks)
         .enumerate()
     {
         assert_eq!(a.to_bits(), b.to_bits(), "rank {r} final clock");
     }
-    assert_eq!(polled.traffic, parked.traffic, "traffic tallies");
-    // Results are equal across schedulers AND across ranks: recursive
+    assert_eq!(checked.traffic, unchecked.traffic, "traffic tallies");
+    // Results are equal checked or not AND across ranks: recursive
     // doubling applies the commutative combiner over one shared pairing
     // tree, so every rank must produce the same bits.
-    assert_eq!(polled.results, parked.results, "numerical results");
-    for (r, res) in parked.results.iter().enumerate() {
-        assert_eq!(res, &parked.results[0], "rank {r} result divergence");
+    assert_eq!(checked.results, unchecked.results, "numerical results");
+    for (r, res) in unchecked.results.iter().enumerate() {
+        assert_eq!(res, &unchecked.results[0], "rank {r} result divergence");
     }
     // And the faulted run repeats bit-identically.
     let again = run(false);
-    assert_eq!(parked.makespan.to_bits(), again.makespan.to_bits());
-    assert_eq!(parked.results, again.results);
+    assert_eq!(unchecked.makespan.to_bits(), again.makespan.to_bits());
+    assert_eq!(unchecked.results, again.results);
 }
 
 #[test]
@@ -350,86 +348,73 @@ fn faulted_trace_streams_are_identical_and_carry_fault_instants() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-engine invariance: thread-per-rank vs the event-driven M:N engine.
-// Fibers only exist on x86_64; elsewhere the event engine refuses to start,
-// so these cases are gated rather than silently vacuous.
+// Worker-count invariance: one worker serialises every fiber, several
+// interleave them in wall time. Virtual time must not see the difference.
 // ---------------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
-mod cross_engine {
+mod worker_counts {
     use super::*;
 
-    fn with_engine(mut c: RunConfig, kind: SchedulerKind) -> RunConfig {
-        c.scheduler = kind;
-        c
-    }
+    /// Enough workers to interleave every rank pattern on any host.
+    const POOL: usize = 4;
 
     #[test]
-    fn engines_agree_bit_for_bit_on_plain_runs() {
+    fn worker_counts_agree_bit_for_bit_on_plain_runs() {
         for solver in [
             SolverChoice::ime_optimized(),
             SolverChoice::scalapack(),
             SolverChoice::cg(),
             SolverChoice::cg_jacobi(),
         ] {
-            let threads = run_once(&cfg(solver, false));
-            let fibers = run_once(&with_engine(cfg(solver, false), SchedulerKind::EventDriven));
-            assert_bit_identical(&threads, &fibers, "thread vs event engine");
+            let serial = run_once_with_workers(&cfg(solver, false), Some(1));
+            let pooled = run_once_with_workers(&cfg(solver, false), Some(POOL));
+            assert_bit_identical(&serial, &pooled, "1 vs 4 workers");
         }
     }
 
     #[test]
-    fn engines_agree_under_checking_with_zero_violations() {
-        // The checked event engine replaces the thread engine's 25 ms timed
-        // polls with an exact quiescence probe — a different deadlock
-        // detector entirely, same virtual timeline, same (empty) findings.
-        let threads = run_once(&cfg(SolverChoice::ime_optimized(), true));
-        let fibers = run_once(&with_engine(
-            cfg(SolverChoice::ime_optimized(), true),
-            SchedulerKind::EventDriven,
-        ));
-        assert!(fibers.violations.is_empty(), "{:#?}", fibers.violations);
-        assert_eq!(
-            threads.violations.len(),
-            fibers.violations.len(),
-            "both engines must report the same diagnostics"
-        );
-        assert_bit_identical(&threads, &fibers, "checked, thread vs event");
+    fn worker_counts_agree_under_checking_with_zero_violations() {
+        // The exact quiescence probe must find nothing on a correct solver
+        // whether the fibers run one at a time or interleaved.
+        let c = cfg(SolverChoice::ime_optimized(), true);
+        let serial = run_once_with_workers(&c, Some(1));
+        let pooled = run_once_with_workers(&c, Some(POOL));
+        assert!(serial.violations.is_empty(), "{:#?}", serial.violations);
+        assert!(pooled.violations.is_empty(), "{:#?}", pooled.violations);
+        assert_bit_identical(&serial, &pooled, "checked, 1 vs 4 workers");
     }
 
     #[test]
-    fn faulted_runs_are_bit_identical_across_engines() {
+    fn faulted_runs_are_bit_identical_across_worker_counts() {
         // Fault injection shifts *virtual* arrival times and send counts,
         // never wall-clock waits, so the full plan must replay identically
-        // on fibers: same measurements, same FaultReport, checked or not.
-        let faulted = |check: bool, kind: SchedulerKind| {
-            let mut c = cfg(SolverChoice::ime_optimized(), check);
-            c.faults = Some(recoverable_plan());
-            c.scheduler = kind;
-            c
-        };
+        // at any worker count: same measurements, same FaultReport,
+        // checked or not.
         for check in [false, true] {
-            let threads = run_once(&faulted(check, SchedulerKind::ThreadPerRank));
-            let fibers = run_once(&faulted(check, SchedulerKind::EventDriven));
+            let c = RunConfig {
+                faults: Some(recoverable_plan()),
+                ..cfg(SolverChoice::ime_optimized(), check)
+            };
+            let serial = run_once_with_workers(&c, Some(1));
+            let pooled = run_once_with_workers(&c, Some(POOL));
             assert_bit_identical(
-                &threads,
-                &fibers,
-                &format!("faulted (check={check}), thread vs event"),
+                &serial,
+                &pooled,
+                &format!("faulted (check={check}), 1 vs 4 workers"),
             );
-            let (tr, fr) = (
-                threads.fault_report.expect("faulted run reports"),
-                fibers.fault_report.expect("faulted run reports"),
+            let (sr, pr) = (
+                serial.fault_report.expect("faulted run reports"),
+                pooled.fault_report.expect("faulted run reports"),
             );
-            assert_eq!(tr, fr, "fault accounting must not depend on the engine");
-            assert!(tr.injected.total() > 0, "the plan actually fired: {tr:?}");
+            assert_eq!(sr, pr, "fault accounting must not depend on workers");
+            assert!(sr.injected.total() > 0, "the plan actually fired: {sr:?}");
         }
     }
 
     #[test]
     fn campaign_runs_survive_a_worker_count_sweep() {
-        // Within the event engine the worker count is pure wall-clock
-        // capacity; run_once pins it via the Machine default, so vary it
-        // through the raw Machine to prove the invariance holds there too.
+        // The worker count is pure wall-clock capacity; sweep it through
+        // the raw Machine, including the host-derived default.
         use greenla_cluster::placement::Placement;
         use greenla_cluster::spec::ClusterSpec;
         use greenla_cluster::PowerModel;
@@ -438,9 +423,7 @@ mod cross_engine {
         let run = |workers: usize| {
             let spec = ClusterSpec::test_cluster(4, 4);
             let placement = Placement::layout(&spec.node, 32, LoadLayout::FullLoad).unwrap();
-            let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 9)
-                .unwrap()
-                .with_scheduler(SchedulerKind::EventDriven);
+            let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 9).unwrap();
             if workers > 0 {
                 m = m.with_sched_workers(workers);
             }

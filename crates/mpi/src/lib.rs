@@ -1,10 +1,10 @@
 //! # greenla-mpi
 //!
-//! A simulated MPI runtime with **virtual time**. Each MPI rank is either
-//! an OS thread (the default) or a green task multiplexed onto a small
-//! worker pool (see [`sched::SchedulerKind`] — the event-driven engine
-//! makes 10k–100k-rank worlds tractable); either way the rank is pinned
-//! (logically) to one core of the simulated cluster, and every
+//! A simulated MPI runtime with **virtual time**. Each MPI rank is a green
+//! task (a stackful fiber) multiplexed onto a small worker pool — the
+//! single engine in [`sched`], which makes 10k–100k-rank worlds tractable
+//! and requires x86_64. Every rank is pinned (logically) to one core of
+//! the simulated cluster, and every
 //! rank carries its own virtual clock which advances when the rank computes
 //! (`compute`), sends or receives messages, or synchronises in collectives.
 //! Message timing follows a LogGP-style α + β·size model with distinct

@@ -1,15 +1,13 @@
-//! The machine: runs a program with one rank per placement slot, under
-//! either scheduling engine (thread-per-rank or event-driven M:N — see
-//! [`crate::sched`]).
+//! The machine: runs a program with one rank per placement slot, each
+//! rank a fiber of the M:N engine (see [`crate::sched`]).
 
 use crate::context::RankCtx;
 use crate::envelope::Envelope;
 use crate::error::MachineError;
-use crate::mailbox::{EventMailboxes, MailboxRx, MailboxTx};
+use crate::mailbox::EventMailboxes;
 use crate::registry::Registry;
 use crate::sched::{Engine, SchedulerKind};
 use crate::traffic::{Traffic, TrafficSnapshot};
-use crossbeam_channel::unbounded;
 use greenla_check::CheckSink;
 use greenla_cluster::ledger::Ledger;
 use greenla_cluster::placement::Placement;
@@ -32,13 +30,12 @@ pub struct Machine {
     trace: TraceSink,
     check: CheckSink,
     faults: FaultSink,
-    scheduler: SchedulerKind,
     sched_workers: Option<usize>,
 }
 
-/// Event-engine worker-pool size when the machine doesn't pin one:
-/// the host's parallelism, clamped to a small pool (the workers mostly
-/// shuffle fibers, and past a handful they just contend on the queues).
+/// Worker-pool size when the machine doesn't pin one: the host's
+/// parallelism, clamped to a small pool (the workers mostly shuffle
+/// fibers, and past a handful they just contend on the queues).
 fn default_sched_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -46,11 +43,11 @@ fn default_sched_workers() -> usize {
         .clamp(2, 8)
 }
 
-/// Per-fiber stack size for the event engine. Rank closures in this
-/// codebase are shallow (solver frames plus the runtime), so the default
-/// 512 KiB is generous; pages are only committed on touch, so 10k ranks
-/// cost virtual address space, not resident memory. Override with the
-/// `GREENLA_STACK_KB` environment variable (floor 64 KiB).
+/// Per-fiber stack size. Rank closures in this codebase are shallow
+/// (solver frames plus the runtime), so the default 512 KiB is generous;
+/// pages are only committed on touch, so 10k ranks cost virtual address
+/// space, not resident memory. Override with the `GREENLA_STACK_KB`
+/// environment variable (floor 64 KiB).
 fn sched_stack_bytes() -> usize {
     let kb = std::env::var("GREENLA_STACK_KB")
         .ok()
@@ -100,34 +97,28 @@ impl Machine {
             trace: TraceSink::disabled(),
             check: CheckSink::disabled(),
             faults: FaultSink::disabled(),
-            scheduler: SchedulerKind::default(),
             sched_workers: None,
         })
     }
 
-    /// Select the rank-scheduling engine (see [`SchedulerKind`]). The
-    /// engine changes only wall-clock execution; virtual-time outcomes
-    /// are bit-identical by the scheduler-invariance contract
-    /// ([`crate::sched`] module docs).
+    /// Select the rank-scheduling engine. The machine has a single
+    /// engine ([`SchedulerKind`] has one variant), so there is nothing to
+    /// record; the setter stays so configs that name the engine keep
+    /// compiling.
     pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        self.scheduler = kind;
+        let SchedulerKind::EventDriven = kind;
     }
 
     /// Builder-style [`Machine::set_scheduler`].
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
+        self.set_scheduler(kind);
         self
     }
 
-    /// The selected scheduling engine.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
-    /// Pin the event engine's worker-pool size instead of deriving it
-    /// from the host's parallelism. Benchmarks pin this so wall-clock
-    /// numbers are comparable across machines; virtual-time results
-    /// never depend on it. Ignored by the thread-per-rank engine.
+    /// Pin the engine's worker-pool size instead of deriving it from the
+    /// host's parallelism. Benchmarks pin this so wall-clock numbers are
+    /// comparable across machines; virtual-time results never depend on
+    /// it.
     pub fn set_sched_workers(&mut self, workers: usize) {
         assert!(workers >= 1, "need at least one worker");
         self.sched_workers = Some(workers);
@@ -223,12 +214,10 @@ impl Machine {
 
     /// Run `f` on every rank and collect results.
     ///
-    /// How ranks execute depends on the selected [`SchedulerKind`]:
-    /// thread-per-rank spawns one OS thread per rank under
-    /// [`std::thread::scope`]; the event-driven engine multiplexes
-    /// rank fibers over a small worker pool. Either way this call blocks
-    /// until every rank has finished, and all virtual-time outputs are
-    /// bit-identical across engines.
+    /// Every rank is a fiber multiplexed over a small worker pool (see
+    /// [`crate::sched`]). This call blocks until every rank has finished,
+    /// and all virtual-time outputs are bit-identical whatever the worker
+    /// count.
     ///
     /// Panics if any rank panics (after poisoning the run so the remaining
     /// ranks unblock), propagating the first rank's panic payload.
@@ -262,22 +251,24 @@ impl Machine {
         let n = self.placement.ntasks();
         self.check
             .begin_run((0..n).map(|r| self.placement.core_of(r).node).collect());
-        let registry = Registry::new().with_check(self.check.clone());
+        let workers = self.sched_workers.unwrap_or_else(default_sched_workers);
+        let engine = Arc::new(Engine::new(n, workers, sched_stack_bytes()));
+        let mailboxes = Arc::new(EventMailboxes::new(n, Arc::clone(&engine)));
+        let registry = Registry::new(Arc::clone(&mailboxes), self.check.clone());
         let world_members: Arc<Vec<usize>> = Arc::new((0..n).collect());
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let clocks: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
         let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        // Each finished rank parks its mailbox here so the message-hygiene
-        // audit can run after *every* rank has stopped sending — draining
-        // inside the rank body would race a slower peer's late send.
-        type Mailbox = (MailboxRx, Vec<Envelope>);
-        let mailboxes: Vec<Mutex<Option<Mailbox>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Each finished rank parks its pending queue here so the
+        // message-hygiene audit can run after *every* rank has stopped
+        // sending — draining inside the rank body would race a slower
+        // peer's late send.
+        let pendings: Vec<Mutex<Option<Vec<Envelope>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
 
-        // One rank's whole life, engine-agnostic: build the context, run
-        // the closure, bank the outputs. Each engine decides only *where*
-        // this body executes (an OS thread vs a fiber) and which mailbox
-        // flavour it hands in.
-        let run_rank = |rank: usize, rx: MailboxRx, txs: MailboxTx| {
+        // One rank's whole life on its fiber: build the context, run the
+        // closure, bank the outputs.
+        let run_rank = |rank: usize| {
             let core = self.placement.core_of(rank);
             let perf_mult = self.power.perf_multiplier(self.seed, core.node);
             let mut ctx = RankCtx {
@@ -293,8 +284,7 @@ impl Machine {
                 traffic: &self.traffic,
                 registry: &registry,
                 placement: &self.placement,
-                rx,
-                txs,
+                mailboxes: Arc::clone(&mailboxes),
                 pending: Vec::new(),
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
@@ -307,8 +297,7 @@ impl Machine {
                     *results[rank].lock() = Some(r);
                     *clocks[rank].lock() = ctx.clock;
                     ctx.check_finished();
-                    let pending = std::mem::take(&mut ctx.pending);
-                    *mailboxes[rank].lock() = Some((ctx.rx, pending));
+                    *pendings[rank].lock() = Some(std::mem::take(&mut ctx.pending));
                 }
                 Err(payload) => {
                     // Record the payload BEFORE poisoning: cascade
@@ -326,49 +315,11 @@ impl Machine {
                 }
             }
         };
-
-        match self.scheduler {
-            SchedulerKind::ThreadPerRank => {
-                let mut txs = Vec::with_capacity(n);
-                let mut rxs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (tx, rx) = unbounded::<Envelope>();
-                    txs.push(tx);
-                    rxs.push(rx);
-                }
-                registry.set_wakers(&txs);
-                let txs = Arc::new(txs);
-                std::thread::scope(|scope| {
-                    for (rank, rx) in rxs.into_iter().enumerate() {
-                        let txs = Arc::clone(&txs);
-                        let run_rank = &run_rank;
-                        scope.spawn(move || {
-                            run_rank(rank, MailboxRx::Thread(rx), MailboxTx::Thread(txs));
-                        });
-                    }
-                });
-            }
-            SchedulerKind::EventDriven => {
-                let workers = self.sched_workers.unwrap_or_else(default_sched_workers);
-                let engine = Arc::new(Engine::new(n, workers, sched_stack_bytes()));
-                let shared = Arc::new(EventMailboxes::new(n, Arc::clone(&engine)));
-                registry.set_event(Arc::clone(&shared));
-                let run_rank = &run_rank;
-                let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-                    .map(|rank| {
-                        let shared = Arc::clone(&shared);
-                        Box::new(move || {
-                            let rx = MailboxRx::Event {
-                                rank,
-                                shared: Arc::clone(&shared),
-                            };
-                            run_rank(rank, rx, MailboxTx::Event(shared));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                engine.run(bodies);
-            }
-        }
+        let run_rank = &run_rank;
+        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
+            .map(|rank| Box::new(move || run_rank(rank)) as Box<dyn FnOnce() + Send + '_>)
+            .collect();
+        engine.run(bodies);
 
         if let Some(payload) = first_panic.into_inner() {
             resume_unwind(payload);
@@ -380,8 +331,8 @@ impl Machine {
             // here instead — whether a duplicate is discarded mid-run or at
             // finalize is a wall-clock accident, but the total observed
             // count is deterministic.
-            for (rank, slot) in mailboxes.iter().enumerate() {
-                if let Some((rx, pending)) = slot.lock().take() {
+            for (rank, slot) in pendings.iter().enumerate() {
+                if let Some(pending) = slot.lock().take() {
                     // Abort control messages are runtime plumbing, not rank
                     // traffic — never report them as leaks.
                     let mut leaked: Vec<(usize, u64, u64, f64)> = Vec::new();
@@ -396,7 +347,7 @@ impl Machine {
                         }
                     };
                     pending.iter().for_each(&mut audit);
-                    while let Some(e) = rx.try_recv() {
+                    while let Some(e) = mailboxes.try_pop(rank) {
                         audit(&e);
                     }
                     if !leaked.is_empty() && self.check.is_enabled() {
@@ -863,7 +814,7 @@ mod tests {
     fn rank_panic_unblocks_blocking_receivers() {
         // Ranks 1..7 park in a blocking receive on a message rank 0 never
         // sends; the abort control message posted by poison() must wake
-        // them (no timeout polling exists on the unchecked path).
+        // them (no timeout polling exists).
         let m = machine(8);
         let r = catch_unwind(AssertUnwindSafe(|| {
             m.run(|ctx| {
@@ -879,7 +830,7 @@ mod tests {
 
     #[test]
     fn rank_panic_unblocks_checked_receivers() {
-        // Same shape with the checker attached: the timed-wait path must
+        // Same shape with the checker attached: the checked wait must
         // also observe the poison and fail the run rather than hang.
         let m = machine(8).with_check(greenla_check::CheckSink::enabled());
         let r = catch_unwind(AssertUnwindSafe(|| {
@@ -1057,7 +1008,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_crash_aborts_both_schedulers() {
+    fn planned_crash_aborts_checked_and_unchecked_runs() {
         use greenla_faults::{CrashFault, CrashWhen, FaultPlan, FaultSink};
         for checked in [false, true] {
             let plan = FaultPlan {

@@ -12,16 +12,13 @@
 //! The registry is also the abort channel: when any rank panics, the machine
 //! poisons it so blocked peers fail fast instead of deadlocking.
 
-use crate::envelope::Envelope;
 use crate::mailbox::EventMailboxes;
 use crate::sched::{self, WakeReason};
-use crossbeam_channel::Sender;
 use greenla_check::CheckSink;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Outcome of a communicator split for one rank.
 #[derive(Clone, Debug)]
@@ -64,9 +61,8 @@ struct BarrierState {
     cost: f64,
     release_t: Option<f64>,
     left: usize,
-    /// Event-engine task ids parked on this cell; the completing arrival
-    /// (or poison) wakes them. Thread-engine waiters use the condvar
-    /// instead and never register here.
+    /// Task ids parked on this cell; the completing arrival wakes them
+    /// (poison wakes every task).
     waiters: Vec<usize>,
 }
 
@@ -86,108 +82,35 @@ pub struct Registry {
     next_comm_id: AtomicU64,
     poisoned: AtomicBool,
     barriers: Mutex<HashMap<(u64, u64), BarrierState>>,
-    barrier_cv: Condvar,
     splits: Mutex<HashMap<(u64, u64), SplitState>>,
-    split_cv: Condvar,
-    /// Checking sink of the owning machine (disabled by default). Under
-    /// the thread engine, enabling it makes waiters fall back to timed
-    /// waits so they can run its deadlock probe periodically; otherwise
-    /// they park on the condvars and consume no CPU until notified. The
-    /// event engine never polls — its quiescence detection is exact, and
-    /// it runs the grace-free probe the instant the machine stalls.
+    /// Checking sink of the owning machine (disabled by default). Waiters
+    /// never poll it: the engine's quiescence signal runs its deadlock
+    /// probe exactly once, the instant the machine stalls.
     check: CheckSink,
-    /// How [`Registry::poison`] reaches ranks parked in a blocking
-    /// receive (condvar notification only reaches registry waiters), and
-    /// how collective completions wake event-engine waiters.
-    wakers: Mutex<Wakers>,
+    /// The run's inboxes: [`Registry::poison`] broadcasts abort control
+    /// messages through them, and collective completions wake parked
+    /// waiters through their engine handle.
+    mailboxes: Arc<EventMailboxes>,
 }
-
-/// Engine-specific wake plumbing, set once by the machine before ranks
-/// start.
-enum Wakers {
-    None,
-    /// Thread engine: one sender per rank mailbox; poison posts an abort
-    /// control message to each.
-    Thread(Vec<Sender<Envelope>>),
-    /// Event engine: the shared inbox table (poison broadcasts control
-    /// messages and wakes every task) and, through it, the engine handle
-    /// used to wake collective waiters.
-    Event(Arc<EventMailboxes>),
-}
-
-/// Poll period for *checked thread-engine* runs only: how often blocked
-/// waiters wake to run the deadlock probe. Unchecked runs never poll, and
-/// the event engine detects deadlock exactly instead of polling (see
-/// `crate::sched`).
-const POLL: Duration = Duration::from_millis(25);
 
 impl Registry {
-    pub fn new() -> Self {
+    pub(crate) fn new(mailboxes: Arc<EventMailboxes>, check: CheckSink) -> Self {
         Self {
             next_comm_id: AtomicU64::new(1), // 0 is the world
             poisoned: AtomicBool::new(false),
             barriers: Mutex::new(HashMap::new()),
-            barrier_cv: Condvar::new(),
             splits: Mutex::new(HashMap::new()),
-            split_cv: Condvar::new(),
-            check: CheckSink::disabled(),
-            wakers: Mutex::new(Wakers::None),
+            check,
+            mailboxes,
         }
     }
 
-    /// Attach the machine's checking sink (builder style).
-    pub fn with_check(mut self, check: CheckSink) -> Self {
-        self.check = check;
-        self
-    }
-
-    /// Register the rank mailboxes poison should wake (called once by the
-    /// machine before spawning rank threads).
-    pub fn set_wakers(&self, txs: &[Sender<Envelope>]) {
-        *self.wakers.lock() = Wakers::Thread(txs.to_vec());
-    }
-
-    /// Event-engine counterpart of [`Registry::set_wakers`] (called once
-    /// by the machine before seeding tasks).
-    pub(crate) fn set_event(&self, shared: Arc<EventMailboxes>) {
-        *self.wakers.lock() = Wakers::Event(shared);
-    }
-
-    /// The shared event-engine state, when this run uses it.
-    fn event(&self) -> Option<Arc<EventMailboxes>> {
-        match &*self.wakers.lock() {
-            Wakers::Event(s) => Some(Arc::clone(s)),
-            _ => None,
-        }
-    }
-
-    /// Mark the run as failed; every blocked rank will panic out. Ranks
-    /// parked on the registry condvars are notified directly; ranks parked
-    /// in a blocking mailbox receive get an abort control message.
+    /// Mark the run as failed; every blocked rank will panic out. Every
+    /// task is woken, and every inbox gets an abort control message so a
+    /// rank parked in a blocking receive sees it too.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        // Notify while holding each map's lock: an untimed waiter either
-        // observed the flag under the lock (and is about to panic) or is
-        // already parked in `wait` and receives this notification — the
-        // lost-wakeup window between the check and the wait is closed.
-        {
-            let _g = self.barriers.lock();
-            self.barrier_cv.notify_all();
-        }
-        {
-            let _g = self.splits.lock();
-            self.split_cv.notify_all();
-        }
-        match &*self.wakers.lock() {
-            Wakers::None => {}
-            Wakers::Thread(txs) => {
-                for tx in txs {
-                    // A closed mailbox means that rank is already gone — fine.
-                    let _ = tx.send(Envelope::control_abort());
-                }
-            }
-            Wakers::Event(shared) => shared.poison_broadcast(),
-        }
+        self.mailboxes.poison_broadcast();
     }
 
     /// Has the run been poisoned by a peer's failure?
@@ -201,21 +124,10 @@ impl Registry {
         }
     }
 
-    /// One iteration of a checked waiter's poll loop: abort on poison, and
-    /// report a deadlock if the probe finds one. The caller must drop its
-    /// state-map guard and call [`Registry::poison`] before panicking with
-    /// the returned message — `poison` notifies under the map locks, so
-    /// poisoning while holding one self-deadlocks.
-    #[must_use]
-    fn poll_waiter(&self) -> Option<String> {
-        self.check_poison();
-        self.check.probe_deadlock()
-    }
-
-    /// The event engine detected machine-wide quiescence while this rank
+    /// The engine detected machine-wide quiescence while this rank
     /// waited on something that can never complete. Report it (with the
-    /// grace-free probe's wait-for diagnostic when checking is on),
-    /// poison the run, and die. Must not hold a state-map guard.
+    /// probe's wait-for diagnostic when checking is on), poison the run,
+    /// and die. Must not hold a state-map guard.
     pub(crate) fn report_quiescent_deadlock(&self) -> ! {
         let msg = self.check.probe_deadlock_quiescent().unwrap_or_else(|| {
             "deadlock: every rank is blocked and none can be woken; run with \
@@ -226,10 +138,30 @@ impl Registry {
         panic!("{msg}");
     }
 
+    /// Wake every task parked on a rendezvous cell that just completed.
+    fn wake_waiters(&self, waiters: &mut Vec<usize>) {
+        for tid in waiters.drain(..) {
+            self.mailboxes.engine().wake(tid);
+        }
+    }
+
+    /// Yield the calling rank's worker until a completion or poison wakes
+    /// it; the caller has already registered its task id on the cell and
+    /// must not hold a state-map guard. Poison wakes every task (not just
+    /// registered waiters), so the poison check after a wake cannot be
+    /// missed.
+    fn park_waiter(&self) {
+        self.check_poison();
+        match self.mailboxes.engine().block_current() {
+            WakeReason::Woken => {}
+            WakeReason::Quiescent => self.report_quiescent_deadlock(),
+        }
+        self.check_poison();
+    }
+
     /// Enter a barrier on `(comm_id, seq)` with `expected` participants at
     /// virtual time `t`; returns the common release time `max(t_i) + cost`.
     pub fn barrier(&self, comm_id: u64, seq: u64, expected: usize, t: f64, cost: f64) -> f64 {
-        let event = self.event();
         let key = (comm_id, seq);
         let mut map = self.barriers.lock();
         let st = map.entry(key).or_insert(BarrierState {
@@ -250,12 +182,7 @@ impl Registry {
         st.cost = st.cost.max(cost);
         if st.arrived == st.expected {
             st.release_t = Some(st.max_t + st.cost);
-            self.barrier_cv.notify_all();
-            if let Some(ev) = &event {
-                for tid in st.waiters.drain(..) {
-                    ev.engine().wake(tid);
-                }
-            }
+            self.wake_waiters(&mut st.waiters);
         }
         loop {
             let st = map.get_mut(&key).expect("barrier state vanished");
@@ -266,31 +193,10 @@ impl Registry {
                 }
                 return rt;
             }
-            if let Some(ev) = &event {
-                // Event engine: register on the cell and yield the worker.
-                // Poison wakes every task (not just registered waiters),
-                // so the poison check after a wake cannot be missed.
-                let tid = sched::current_task().expect("event-engine rank outside a task");
-                st.waiters.push(tid);
-                drop(map);
-                self.check_poison();
-                match ev.engine().block_current() {
-                    WakeReason::Woken => {}
-                    WakeReason::Quiescent => self.report_quiescent_deadlock(),
-                }
-                self.check_poison();
-                map = self.barriers.lock();
-            } else if self.check.is_enabled() {
-                if let Some(msg) = self.poll_waiter() {
-                    drop(map);
-                    self.poison();
-                    panic!("{msg}");
-                }
-                self.barrier_cv.wait_for(&mut map, POLL);
-            } else {
-                self.check_poison();
-                self.barrier_cv.wait(&mut map);
-            }
+            st.waiters.push(current_rank_task());
+            drop(map);
+            self.park_waiter();
+            map = self.barriers.lock();
         }
     }
 
@@ -308,7 +214,6 @@ impl Registry {
             t,
             cost,
         } = entry;
-        let event = self.event();
         let map_key = (parent_id, seq);
         let mut map = self.splits.lock();
         let st = map.entry(map_key).or_insert(SplitState {
@@ -359,12 +264,7 @@ impl Registry {
                 }
             }
             st.outcome = Some(outcome);
-            self.split_cv.notify_all();
-            if let Some(ev) = &event {
-                for tid in st.waiters.drain(..) {
-                    ev.engine().wake(tid);
-                }
-            }
+            self.wake_waiters(&mut st.waiters);
         }
         loop {
             let st = map.get_mut(&map_key).expect("split state vanished");
@@ -379,30 +279,10 @@ impl Registry {
                 }
                 return mine;
             }
-            if let Some(ev) = &event {
-                // See the identical arm in `barrier` for the wake/poison
-                // ordering argument.
-                let tid = sched::current_task().expect("event-engine rank outside a task");
-                st.waiters.push(tid);
-                drop(map);
-                self.check_poison();
-                match ev.engine().block_current() {
-                    WakeReason::Woken => {}
-                    WakeReason::Quiescent => self.report_quiescent_deadlock(),
-                }
-                self.check_poison();
-                map = self.splits.lock();
-            } else if self.check.is_enabled() {
-                if let Some(msg) = self.poll_waiter() {
-                    drop(map);
-                    self.poison();
-                    panic!("{msg}");
-                }
-                self.split_cv.wait_for(&mut map, POLL);
-            } else {
-                self.check_poison();
-                self.split_cv.wait(&mut map);
-            }
+            st.waiters.push(current_rank_task());
+            drop(map);
+            self.park_waiter();
+            map = self.splits.lock();
         }
     }
 
@@ -412,103 +292,102 @@ impl Registry {
     }
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Task id of the calling rank's fiber.
+fn current_rank_task() -> usize {
+    sched::current_task().expect("rank code outside an engine task")
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
-    use std::thread;
+    use crate::sched::Engine;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Run `f(task, registry)` on `n` fibers of a fresh engine with
+    /// `workers` workers; returns the per-task results and the registry.
+    fn on_engine<R: Send>(
+        n: usize,
+        workers: usize,
+        f: impl Fn(usize, &Registry) -> R + Sync,
+    ) -> (Vec<R>, Registry) {
+        let engine = Arc::new(Engine::new(n, workers, 64 * 1024));
+        let mailboxes = Arc::new(EventMailboxes::new(n, Arc::clone(&engine)));
+        let reg = Registry::new(mailboxes, CheckSink::disabled());
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
+            .map(|i| {
+                let (f, reg, slot) = (&f, &reg, &slots[i]);
+                Box::new(move || *slot.lock() = Some(f(i, reg))) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        engine.run(bodies);
+        let results = slots
+            .into_iter()
+            .map(|m| m.into_inner().expect("task produced no result"))
+            .collect();
+        (results, reg)
+    }
 
     #[test]
     fn barrier_releases_at_max_plus_cost() {
-        let reg = Arc::new(Registry::new());
         let times = [1.0, 5.0, 3.0];
-        let handles: Vec<_> = times
-            .iter()
-            .map(|&t| {
-                let reg = Arc::clone(&reg);
-                thread::spawn(move || reg.barrier(0, 0, 3, t, 0.5))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 5.5);
-        }
+        let (out, _) = on_engine(3, 2, |i, reg| reg.barrier(0, 0, 3, times[i], 0.5));
+        assert_eq!(out, vec![5.5; 3]);
     }
 
     #[test]
     fn barrier_state_cleaned_up_for_reuse() {
-        let reg = Arc::new(Registry::new());
-        for seq in 0..3 {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    let reg = Arc::clone(&reg);
-                    thread::spawn(move || reg.barrier(7, seq, 2, i as f64, 0.0))
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), 1.0);
-            }
-        }
+        let (out, reg) = on_engine(2, 2, |i, reg| {
+            (0..3)
+                .map(|seq| reg.barrier(7, seq, 2, i as f64, 0.0))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(out, vec![vec![1.0; 3]; 2]);
         assert!(reg.barriers.lock().is_empty());
     }
 
     #[test]
     fn split_groups_by_color_and_orders_by_key() {
-        let reg = Arc::new(Registry::new());
         // 4 ranks: colors 0,0,1,1; keys reversed within color 0.
-        let plan = [(0usize, 0u64, 9u64), (1, 0, 1), (2, 1, 0), (3, 1, 5)];
-        let handles: Vec<_> = plan
-            .iter()
-            .map(|&(g, c, k)| {
-                let reg = Arc::clone(&reg);
-                thread::spawn(move || {
-                    (
-                        g,
-                        reg.split(SplitEntry {
-                            parent_id: 0,
-                            seq: 0,
-                            expected: 4,
-                            grank: g,
-                            color: c,
-                            key: k,
-                            t: 0.0,
-                            cost: 0.1,
-                        }),
-                    )
-                })
+        let plan = [(0u64, 9u64), (0, 1), (1, 0), (1, 5)];
+        let (results, _) = on_engine(4, 2, |g, reg| {
+            let (color, key) = plan[g];
+            reg.split(SplitEntry {
+                parent_id: 0,
+                seq: 0,
+                expected: 4,
+                grank: g,
+                color,
+                key,
+                t: 0.0,
+                cost: 0.1,
             })
-            .collect();
-        let mut results: Vec<(usize, SplitOutcome)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        results.sort_by_key(|r| r.0);
+        });
         // color 0: keys 9 (rank0), 1 (rank1) → order [1, 0]
-        assert_eq!(*results[0].1.members, vec![1, 0]);
-        assert_eq!(results[0].1.my_index, 1);
-        assert_eq!(results[1].1.my_index, 0);
+        assert_eq!(*results[0].members, vec![1, 0]);
+        assert_eq!(results[0].my_index, 1);
+        assert_eq!(results[1].my_index, 0);
         // color 1: order [2, 3]
-        assert_eq!(*results[2].1.members, vec![2, 3]);
+        assert_eq!(*results[2].members, vec![2, 3]);
         // distinct communicators, shared release time.
-        assert_ne!(results[0].1.comm_id, results[2].1.comm_id);
-        assert_eq!(results[0].1.release_t, results[2].1.release_t);
-        assert_eq!(results[0].1.release_t, 0.1);
+        assert_ne!(results[0].comm_id, results[2].comm_id);
+        assert_eq!(results[0].release_t, results[2].release_t);
+        assert_eq!(results[0].release_t, 0.1);
     }
 
     #[test]
     fn poison_unblocks_waiters() {
-        let reg = Arc::new(Registry::new());
-        let r2 = Arc::clone(&reg);
-        let h = thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                r2.barrier(0, 0, 2, 0.0, 0.0)
-            }));
-            result.is_err()
+        // One worker runs the tasks in id order: task 0 parks in a barrier
+        // task 1 never joins, then task 1 poisons the run.
+        let (out, reg) = on_engine(2, 1, |i, reg| {
+            if i == 0 {
+                catch_unwind(AssertUnwindSafe(|| reg.barrier(0, 0, 2, 0.0, 0.0))).is_err()
+            } else {
+                reg.poison();
+                true
+            }
         });
-        std::thread::sleep(Duration::from_millis(30));
-        reg.poison();
-        assert!(h.join().unwrap(), "waiter should have panicked out");
+        assert!(out[0], "waiter should have panicked out");
+        assert!(reg.is_poisoned());
     }
 }

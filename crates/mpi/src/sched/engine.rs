@@ -4,7 +4,10 @@
 //! push the task onto its home worker's run queue and only that worker
 //! ever resumes it. Task state lives in a slab indexed by task id (== the
 //! MPI rank), stacks come from one pooled allocation, and workers are
-//! `thread::scope` threads that park on a condvar when their queue drains.
+//! `thread::scope` threads that park (`std::thread::park`) when their
+//! queue drains. A wake that queues a task unparks the home worker;
+//! park/unpark carries a token, so an unpark that lands before the
+//! worker parks is not lost.
 //!
 //! Home pinning is the memory-safety linchpin: a task mid-way through
 //! switching *out* (state already `Ready` again after a racing wake, but
@@ -28,11 +31,12 @@
 //! receivers can fail fast with the peers-gone diagnostic.
 
 use super::fiber::{self, Context};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 /// Why `Engine::block_current` (the crate-internal yield point every
 /// blocking wait funnels through) returned.
@@ -124,17 +128,21 @@ impl StackPool {
     }
 }
 
+/// One worker's run queue, plus its thread handle once the worker has
+/// started (set under the same lock a waker pushes under, so a waker
+/// either sees the handle or the worker sees the pushed task).
+#[derive(Default)]
 struct WorkerQueue {
-    q: Mutex<VecDeque<usize>>,
-    cv: Condvar,
+    tasks: VecDeque<usize>,
+    thread: Option<Thread>,
 }
 
-/// The event-driven scheduler for one machine run. Public so runtime
+/// The rank scheduler for one machine run. Public so runtime
 /// internals (mailboxes, the registry) can wake tasks; rank code never
 /// touches it directly.
 pub struct Engine {
     tasks: Vec<TaskSlot>,
-    workers: Vec<WorkerQueue>,
+    workers: Vec<Mutex<WorkerQueue>>,
     /// Tasks in `Ready`/`Running`/`Notified` (see module docs).
     active: AtomicUsize,
     done: AtomicUsize,
@@ -156,8 +164,7 @@ thread_local! {
 }
 
 /// Task id of the fiber running on the current thread, if any. `None`
-/// when called from an ordinary thread (e.g. under the thread-per-rank
-/// engine) — callers use this to pick a blocking strategy.
+/// when called from an ordinary thread, outside every engine.
 pub(crate) fn current_task() -> Option<usize> {
     CURRENT.with(|c| c.get().map(|(_, t)| t))
 }
@@ -169,7 +176,8 @@ impl Engine {
         assert!(workers >= 1, "need at least one worker");
         assert!(
             fiber::supported(),
-            "the event-driven scheduler requires x86_64; use SchedulerKind::ThreadPerRank"
+            "the rank engine requires x86_64: the fiber switch is hand-written \
+             assembly and no other architecture has one"
         );
         let workers = workers.min(ntasks.max(1));
         let tasks = (0..ntasks)
@@ -186,12 +194,7 @@ impl Engine {
             .collect();
         Engine {
             tasks,
-            workers: (0..workers)
-                .map(|_| WorkerQueue {
-                    q: Mutex::new(VecDeque::new()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            workers: (0..workers).map(|_| Mutex::default()).collect(),
             active: AtomicUsize::new(ntasks),
             done: AtomicUsize::new(0),
             orphaned: AtomicBool::new(false),
@@ -240,7 +243,7 @@ impl Engine {
         }
         // Seed each task on its home worker in ascending id order.
         for slot in &self.tasks {
-            self.workers[slot.home].q.lock().push_back(slot.id);
+            self.workers[slot.home].lock().tasks.push_back(slot.id);
         }
         std::thread::scope(|scope| {
             for w in 0..self.workers.len() {
@@ -257,24 +260,28 @@ impl Engine {
 
     fn worker_loop(self: Arc<Self>, me: usize) {
         let n = self.tasks.len();
+        let queue = &self.workers[me];
+        queue.lock().thread = Some(std::thread::current());
         loop {
-            let tid = {
-                let w = &self.workers[me];
-                let mut q = w.q.lock();
-                loop {
-                    if let Some(t) = q.pop_front() {
-                        break Some(t);
-                    }
-                    if self.done.load(Ordering::SeqCst) == n {
-                        break None;
-                    }
-                    w.cv.wait(&mut q);
-                }
-            };
-            match tid {
+            let next = queue.lock().tasks.pop_front();
+            match next {
                 Some(t) => self.resume(t),
-                None => return,
+                None if self.done.load(Ordering::SeqCst) == n => return,
+                // Spurious returns just re-check the queue.
+                None => std::thread::park(),
             }
+        }
+    }
+
+    /// Queue task `tid` on worker `w` and unpark that worker.
+    fn enqueue(&self, w: usize, tid: usize) {
+        let thread = {
+            let mut queue = self.workers[w].lock();
+            queue.tasks.push_back(tid);
+            queue.thread.clone()
+        };
+        if let Some(t) = thread {
+            t.unpark();
         }
     }
 
@@ -305,7 +312,7 @@ impl Engine {
     pub(crate) fn block_current(&self) -> WakeReason {
         let (eng, tid) = CURRENT
             .with(|c| c.get())
-            .expect("block_current called outside an event-driven task");
+            .expect("block_current called outside an engine task");
         debug_assert!(std::ptr::eq(eng, self), "task blocked on a foreign engine");
         let slot = &self.tasks[tid];
         self.check_canary(slot);
@@ -353,9 +360,7 @@ impl Engine {
                 // Count the task runnable *before* it becomes poppable so
                 // a racing blocker can never observe a spurious zero.
                 self.active.fetch_add(1, Ordering::SeqCst);
-                let w = &self.workers[slot.home];
-                w.q.lock().push_back(tid);
-                w.cv.notify_one();
+                self.enqueue(slot.home, tid);
             }
             TaskState::Running => *s = TaskState::Notified,
             TaskState::Ready | TaskState::Notified | TaskState::Done => {}
@@ -377,7 +382,7 @@ impl Engine {
             assert!(
                 v == CANARY,
                 "fiber stack overflow on task {} (canary clobbered); raise \
-                 GREENLA_STACK_KB or use SchedulerKind::ThreadPerRank",
+                 GREENLA_STACK_KB",
                 slot.id
             );
         }
@@ -398,9 +403,10 @@ impl Engine {
             self.wake_all();
         }
         if all_done {
-            for w in &self.workers {
-                let _q = w.q.lock();
-                w.cv.notify_all();
+            for queue in &self.workers {
+                if let Some(t) = queue.lock().thread.clone() {
+                    t.unpark();
+                }
             }
         }
         // SAFETY: final switch out; the slot is `Done` and never resumed.

@@ -1,4 +1,4 @@
-//! Stackful-fiber context switching: the primitive under the event-driven
+//! Stackful-fiber context switching: the primitive under the rank
 //! engine.
 //!
 //! A fiber is an execution context — a stack plus the callee-saved register
@@ -10,8 +10,8 @@
 //! makes parking a *rank* (a fiber) cheap enough to do tens of thousands
 //! of times where parking a *thread* would involve the kernel.
 //!
-//! Only `x86_64` is implemented; [`supported`] reports availability so
-//! callers can fall back to the thread-per-rank engine elsewhere.
+//! Only `x86_64` is implemented; [`supported`] reports availability, and
+//! the engine refuses to start where it is `false`.
 
 /// Is the fiber switch implemented for the current target architecture?
 pub fn supported() -> bool {
@@ -158,8 +158,8 @@ mod imp {
     /// [`switch`]). `unsafe` only to mirror the x86_64 signature.
     pub(crate) unsafe fn prepare(_stack_top: *mut u8, _entry: Entry, _arg: *mut u8) -> Context {
         panic!(
-            "the event-driven scheduler requires x86_64 (no fiber switch for this \
-             architecture); use SchedulerKind::ThreadPerRank"
+            "the rank engine requires x86_64 (no fiber switch for this \
+             architecture)"
         );
     }
 }

@@ -1,34 +1,32 @@
-//! Rank scheduling engines.
+//! Rank scheduling: the M:N fiber engine.
 //!
-//! The machine can execute a simulated MPI program under two engines that
-//! are — by contract — indistinguishable in virtual time:
+//! The machine has a single engine. Every rank is a stackful fiber
+//! multiplexed onto a fixed worker pool ([`Engine`]). A rank blocking in
+//! `recv`/`barrier`/a collective yields its worker instead of parking a
+//! thread, and every notification (message posts, registry completions,
+//! poison/abort control envelopes, fault-injected wakeups) is a task
+//! wake. This is what makes 10k–100k-rank simulations tractable — and it
+//! makes deadlock detection *exact*: the engine knows the precise moment
+//! every task is blocked (see [`engine::WakeReason::Quiescent`]), so
+//! checked runs need no grace timer and unchecked runs abort instead of
+//! hanging.
 //!
-//! * **Thread-per-rank** ([`SchedulerKind::ThreadPerRank`], the default):
-//!   every rank is an OS thread. Simple, debuggable with ordinary tools,
-//!   and each rank gets a full 8 MiB kernel-managed stack — but the OS
-//!   caps practical world sizes at a few thousand ranks.
-//! * **Event-driven M:N** ([`SchedulerKind::EventDriven`]): every rank is
-//!   a stackful fiber multiplexed onto a fixed worker pool. A rank
-//!   blocking in `recv`/`barrier`/a collective yields its worker instead
-//!   of parking a thread, and the paths that used to notify threads
-//!   (registry completions, poison/abort control envelopes,
-//!   fault-injected wakeups) become task wakes. This is what makes
-//!   10k–100k-rank simulations tractable — and it makes deadlock
-//!   detection *exact*: the engine knows the precise moment every task is
-//!   blocked (see [`engine::WakeReason::Quiescent`]), so checked runs
-//!   need no grace timer and unchecked runs abort instead of hanging.
+//! The fiber switch is hand-written x86_64 assembly. On any other target
+//! the engine refuses to start with a loud panic rather than falling back
+//! to a different execution model.
 //!
-//! # The scheduler-invariance contract
+//! # The invariance contract
 //!
-//! Virtual-time outcomes must be **bit-identical** across engines: traces,
-//! per-rank final clocks, violations, and fault reports. This holds by
-//! construction because every timing decision is a function of virtual
-//! clocks carried in envelopes and registry cells, never of wall-clock
-//! scheduling — e.g. multi-source receives charge in sorted
-//! `(arrival, src)` order regardless of delivery order, and fault delays
-//! shift virtual arrival times rather than sleeping. The
-//! `scheduler_invariance` harness test suite enforces the contract,
-//! including under active fault plans and checked runs.
+//! Virtual-time outcomes must be **bit-identical** whatever the worker
+//! count and from one run to the next: traces, per-rank final clocks,
+//! violations, and fault reports. This holds by construction because
+//! every timing decision is a function of virtual clocks carried in
+//! envelopes and registry cells, never of wall-clock scheduling — e.g.
+//! multi-source receives charge in sorted `(arrival, src)` order
+//! regardless of delivery order, and fault delays shift virtual arrival
+//! times rather than sleeping. The `scheduler_invariance` harness test
+//! suite enforces the contract, including under active fault plans and
+//! checked runs.
 
 pub(crate) mod engine;
 pub(crate) mod fiber;
@@ -38,9 +36,12 @@ pub use engine::{Engine, WakeReason};
 
 /// Which engine [`crate::Machine::run`] uses to execute ranks.
 ///
-/// Selecting an engine changes *only* wall-clock execution: how many OS
-/// threads exist and how blocked ranks wait. Everything observable in
-/// virtual time is identical (see the module docs for the contract).
+/// The machine has a single engine, so this enum has a single variant.
+/// It stays a type because saved harness run configs carry it: datasets
+/// written when a thread-per-rank engine still existed name
+/// `"ThreadPerRank"`, and those parse to [`SchedulerKind::EventDriven`] —
+/// the engine never changed virtual-time results, so nothing recorded is
+/// lost.
 ///
 /// ```
 /// use greenla_cluster::placement::{LoadLayout, Placement};
@@ -61,35 +62,25 @@ pub use engine::{Engine, WakeReason};
 /// });
 /// assert!(out.results.iter().all(|&r| r == 8.0));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub enum SchedulerKind {
-    /// One OS thread per rank (the default). Checked runs poll the
-    /// deadlock probe on a 25 ms timer while blocked.
-    #[default]
-    ThreadPerRank,
     /// Green-task M:N engine: fibers over a small worker pool, exact
     /// event-driven deadlock detection, world sizes of 10k+ ranks.
     /// Requires x86_64 (the fiber switch is hand-written assembly).
+    #[default]
     EventDriven,
 }
 
-impl SchedulerKind {
-    /// Parse a CLI-style name: `thread` | `event`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "thread" | "thread-per-rank" => Some(SchedulerKind::ThreadPerRank),
-            "event" | "event-driven" => Some(SchedulerKind::EventDriven),
-            _ => None,
+/// Hand-written because the vendored derive has no `alias`: legacy
+/// datasets name the removed `"ThreadPerRank"` engine.
+impl serde::Deserialize for SchedulerKind {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        match v.as_str() {
+            Some("EventDriven" | "ThreadPerRank") => Ok(SchedulerKind::EventDriven),
+            _ => Err(serde::Error::custom(format!(
+                "unknown scheduler {v:?} (expected \"EventDriven\")"
+            ))),
         }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SchedulerKind::ThreadPerRank => "thread",
-            SchedulerKind::EventDriven => "event",
-        })
     }
 }
 
@@ -98,20 +89,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_display() {
-        for kind in [SchedulerKind::ThreadPerRank, SchedulerKind::EventDriven] {
-            assert_eq!(SchedulerKind::parse(&kind.to_string()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("fifo"), None);
-    }
-
-    #[test]
     fn serde_names_are_stable() {
-        // RunConfig serialises the scheduler; renaming variants would
-        // silently invalidate saved campaign configs.
+        // RunConfig serialises the scheduler; renaming the variant would
+        // silently invalidate saved campaign configs, and the retired
+        // engine's name must keep parsing.
         let j = serde_json::to_string(&SchedulerKind::EventDriven).unwrap();
         assert_eq!(j, "\"EventDriven\"");
-        let k: SchedulerKind = serde_json::from_str("\"ThreadPerRank\"").unwrap();
-        assert_eq!(k, SchedulerKind::ThreadPerRank);
+        for legacy in ["\"ThreadPerRank\"", "\"EventDriven\""] {
+            let k: SchedulerKind = serde_json::from_str(legacy).unwrap();
+            assert_eq!(k, SchedulerKind::EventDriven);
+        }
+        assert!(serde_json::from_str::<SchedulerKind>("\"Fifo\"").is_err());
     }
 }

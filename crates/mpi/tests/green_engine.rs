@@ -1,10 +1,9 @@
-//! The event-driven engine, end to end: parity with thread-per-rank on
-//! real programs, exact deadlock detection without timed polls, and
-//! abort/orphan behaviour at world sizes the thread engine can't reach.
+//! The rank engine, end to end: worker-count invariance on real programs,
+//! exact deadlock detection without timed polls, and abort/orphan
+//! behaviour at world sizes one OS thread per rank could not reach.
 //!
 //! The fiber switch is hand-written x86_64 assembly, so the whole file is
-//! gated on that architecture (other targets fall back to thread-per-rank
-//! and never construct the engine).
+//! gated on that architecture (the engine refuses to start elsewhere).
 #![cfg(target_arch = "x86_64")]
 
 use greenla_cluster::placement::{LoadLayout, Placement};
@@ -12,17 +11,14 @@ use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::PowerModel;
 use greenla_mpi::{
     CheckSink, CrashFault, CrashWhen, FaultPlan, FaultSink, Machine, MsgFault, MsgFaultKind, Rule,
-    SchedulerKind,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn machine(ranks: usize, kind: SchedulerKind) -> Machine {
+fn machine(ranks: usize) -> Machine {
     let nodes = ranks.div_ceil(8).max(1);
     let spec = ClusterSpec::test_cluster(nodes, 4); // 2×4 cores per node
     let placement = Placement::layout(&spec.node, ranks, LoadLayout::FullLoad).unwrap();
-    Machine::new(spec, placement, PowerModel::deterministic(), 42)
-        .unwrap()
-        .with_scheduler(kind)
+    Machine::new(spec, placement, PowerModel::deterministic(), 42).unwrap()
 }
 
 /// A rank program that exercises every blocking path: compute, matched
@@ -54,27 +50,29 @@ fn workout(ctx: &mut greenla_mpi::RankCtx) -> (f64, Vec<f64>) {
 }
 
 #[test]
-fn engines_agree_bit_for_bit_on_a_full_workout() {
+fn worker_counts_agree_bit_for_bit_on_a_full_workout() {
+    // One worker serialises every fiber; four interleave them in wall
+    // time. Virtual time must not see the difference.
     let p = 64;
-    let thread = machine(p, SchedulerKind::ThreadPerRank).run(workout);
-    let event = machine(p, SchedulerKind::EventDriven).run(workout);
-    assert_eq!(thread.makespan.to_bits(), event.makespan.to_bits());
+    let serial = machine(p).with_sched_workers(1).run(workout);
+    let pooled = machine(p).with_sched_workers(4).run(workout);
+    assert_eq!(serial.makespan.to_bits(), pooled.makespan.to_bits());
     for r in 0..p {
         assert_eq!(
-            thread.final_clocks[r].to_bits(),
-            event.final_clocks[r].to_bits(),
+            serial.final_clocks[r].to_bits(),
+            pooled.final_clocks[r].to_bits(),
             "rank {r} clock diverged"
         );
-        assert_eq!(thread.results[r].1, event.results[r].1, "rank {r} sums");
+        assert_eq!(serial.results[r].1, pooled.results[r].1, "rank {r} sums");
     }
-    assert_eq!(thread.traffic.msgs, event.traffic.msgs);
-    assert_eq!(thread.traffic.bytes, event.traffic.bytes);
+    assert_eq!(serial.traffic.msgs, pooled.traffic.msgs);
+    assert_eq!(serial.traffic.bytes, pooled.traffic.bytes);
 }
 
 #[test]
 fn checked_thousand_rank_run_is_clean() {
     let sink = CheckSink::enabled();
-    let m = machine(1000, SchedulerKind::EventDriven).with_check(sink.clone());
+    let m = machine(1000).with_check(sink.clone());
     let out = m.run(|ctx| {
         let world = ctx.world();
         ctx.compute(100_000, 0);
@@ -94,11 +92,11 @@ fn checked_thousand_rank_run_is_clean() {
 #[test]
 fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
     // Ranks 0 and 1 wait on each other; everyone else blocks in a world
-    // barrier the pair never joins. No 25 ms poll, no grace timer: the
+    // barrier the pair never joins. No poll, no grace timer: the
     // scheduler's quiescence signal runs the probe the moment the last
     // task blocks.
     let sink = CheckSink::enabled();
-    let m = machine(1000, SchedulerKind::EventDriven).with_check(sink.clone());
+    let m = machine(1000).with_check(sink.clone());
     let r = catch_unwind(AssertUnwindSafe(|| {
         m.run(|ctx| {
             let world = ctx.world();
@@ -138,10 +136,10 @@ fn recv_deadlock_aborts_exactly_with_the_cycle_named() {
 
 #[test]
 fn unchecked_deadlock_aborts_instead_of_hanging() {
-    // Same shape without the checker: the thread engine would hang here
-    // (nothing polls), but quiescence is exact under the event engine,
-    // so the run aborts with a generic diagnostic.
-    let m = machine(64, SchedulerKind::EventDriven);
+    // Same shape without the checker: nothing polls, but quiescence is
+    // exact, so the run aborts with a generic diagnostic instead of
+    // hanging.
+    let m = machine(64);
     let r = catch_unwind(AssertUnwindSafe(|| {
         m.run(|ctx| {
             let world = ctx.world();
@@ -172,7 +170,7 @@ fn unchecked_deadlock_aborts_instead_of_hanging() {
 
 #[test]
 fn rank_panic_unblocks_fibers_in_recv_and_barrier() {
-    let m = machine(64, SchedulerKind::EventDriven);
+    let m = machine(64);
     let r = catch_unwind(AssertUnwindSafe(|| {
         m.run(|ctx| {
             let world = ctx.world();
@@ -203,10 +201,8 @@ fn rank_panic_unblocks_fibers_in_recv_and_barrier() {
 #[test]
 fn orphaned_receiver_aborts_with_all_peers_gone() {
     // Rank 1 waits on a message nobody will ever send while everyone
-    // else returns: the scheduler's orphan signal replaces the channel
-    // disconnect (the thread engine would hang — rank 1's own sender
-    // handle keeps its channel alive).
-    let m = machine(64, SchedulerKind::EventDriven);
+    // else returns: the scheduler's orphan signal wakes it to abort.
+    let m = machine(64);
     let r = catch_unwind(AssertUnwindSafe(|| {
         m.run(|ctx| {
             let world = ctx.world();
@@ -231,7 +227,7 @@ fn orphaned_receiver_aborts_with_all_peers_gone() {
 
 #[test]
 fn iprobe_respects_virtual_causality_on_fibers() {
-    let m = machine(8, SchedulerKind::EventDriven);
+    let m = machine(8);
     let out = m.run(|ctx| {
         let world = ctx.world();
         match ctx.rank() {
@@ -270,7 +266,7 @@ fn iprobe_respects_virtual_causality_on_fibers() {
 }
 
 #[test]
-fn fault_reports_and_clocks_match_across_engines() {
+fn fault_reports_and_clocks_match_across_worker_counts() {
     let plan = || FaultPlan {
         messages: vec![
             MsgFault {
@@ -307,20 +303,22 @@ fn fault_reports_and_clocks_match_across_engines() {
         ctx.barrier(&world);
         ctx.now()
     };
-    let run = |kind: SchedulerKind| {
+    let run = |workers: usize| {
         let sink = FaultSink::with_plan(plan());
-        let m = machine(16, kind).with_faults(sink.clone());
+        let m = machine(16)
+            .with_sched_workers(workers)
+            .with_faults(sink.clone());
         let out = m.run(program);
         (out.results.clone(), sink.report())
     };
-    let (clocks_t, rep_t) = run(SchedulerKind::ThreadPerRank);
-    let (clocks_e, rep_e) = run(SchedulerKind::EventDriven);
-    for (a, b) in clocks_t.iter().zip(&clocks_e) {
+    let (clocks_1, rep_1) = run(1);
+    let (clocks_4, rep_4) = run(4);
+    for (a, b) in clocks_1.iter().zip(&clocks_4) {
         assert_eq!(a.to_bits(), b.to_bits(), "faulted clocks diverged");
     }
-    assert_eq!(rep_t.injected, rep_e.injected);
-    assert_eq!(rep_t.recovered, rep_e.recovered);
-    assert_eq!(rep_t.observed, rep_e.observed);
+    assert_eq!(rep_1.injected, rep_4.injected);
+    assert_eq!(rep_1.recovered, rep_4.recovered);
+    assert_eq!(rep_1.observed, rep_4.observed);
 }
 
 #[test]
@@ -334,7 +332,7 @@ fn planned_crash_aborts_checked_event_runs() {
             ..Default::default()
         };
         let sink = FaultSink::with_plan(plan);
-        let mut m = machine(64, SchedulerKind::EventDriven).with_faults(sink.clone());
+        let mut m = machine(64).with_faults(sink.clone());
         if checked {
             m = m.with_check(CheckSink::enabled());
         }
@@ -365,12 +363,12 @@ fn planned_crash_aborts_checked_event_runs() {
 
 #[test]
 fn ten_thousand_rank_smoke_spins_up_and_synchronises() {
-    // The tentpole capability: a world size the thread engine cannot
-    // reach (10k OS threads would exhaust default process limits).
+    // The engine's reason to exist: a world size one OS thread per rank
+    // cannot reach (10k threads would exhaust default process limits).
     // Spin-up, a barrier storm, one bcast, and an allreduce — then
     // verify everyone agrees.
     let p = 10_000;
-    let m = machine(p, SchedulerKind::EventDriven).with_sched_workers(4);
+    let m = machine(p).with_sched_workers(4);
     let out = m.run(|ctx| {
         let world = ctx.world();
         for _ in 0..3 {
