@@ -57,7 +57,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "greenla-lint [--root DIR] [--json] [--json-out FILE] [--quiet]\n\
                      greenla-lint --file F.rs [--as REL] [--stable \"p1,p2\"]\n\
-                     Workspace lints GL001-GL005; see ARCHITECTURE.md §11."
+                     Workspace lints GL001-GL006; see ARCHITECTURE.md §11."
                 );
                 return ExitCode::SUCCESS;
             }

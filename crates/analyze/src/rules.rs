@@ -121,6 +121,7 @@ pub const SERDE_BASELINES: &[(&str, &[&str])] = &[
     ("BenchEntry", &["id", "reps", "median_wall_s"]),
     ("BenchSuite", &["suite", "entries"]),
     ("BenchReport", &["schema", "suites"]),
+    ("ClaimCheck", &["id", "claim", "measured", "pass"]),
 ];
 
 /// Files allowed to define `#[target_feature]` functions (GL006): the

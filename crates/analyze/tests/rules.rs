@@ -230,7 +230,7 @@ fn fixture_findings_match_the_golden_json() {
     );
 }
 
-/// Acceptance criterion: the `greenla-lint` binary itself exits nonzero
+/// Acceptance: the `greenla-lint` binary itself exits nonzero
 /// on each violation fixture and zero on the clean one.
 #[test]
 fn lint_binary_exit_codes_track_fixture_verdicts() {

@@ -201,7 +201,7 @@ pub fn kernel_suite(quick: bool) -> BenchSuite {
     }
 
     // Sequential-vs-parallel pair at n = 1024 on the dispatched path: the
-    // scaling acceptance criterion (≥ 3× on 4 workers on a ≥ 4-core host)
+    // scaling acceptance bar (≥ 3× on 4 workers on a ≥ 4-core host)
     // is their wall-clock ratio, and both entries ride the gate.
     {
         let n = 1024;

@@ -2,7 +2,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--exp all|table1|fig3|fig4|fig5|fig6|fig7|summary|overhead|powercap|trace|scale|sparse]
+//! repro [--exp all|table1|fig3|fig4|fig5|fig6|fig7|summary|overhead|powercap|trace|scale|sparse|ablation|none]
 //!       [--tier functional|model|both]   (default: both)
 //!       [--reps N]                       (default: 3)
 //!       [--smoke]                        (tiny grid for CI)
@@ -56,6 +56,47 @@ struct Args {
     bench_quick: bool,
 }
 
+impl Args {
+    /// Any `--bench-*` output selects bench mode.
+    fn bench_mode(&self) -> bool {
+        self.bench_out.is_some()
+            || self.bench_campaign.is_some()
+            || self.bench_coll.is_some()
+            || self.bench_sched.is_some()
+            || self.bench_baseline.is_some()
+    }
+}
+
+/// Every `--exp` value; `none` runs no experiment (e.g. `--trace-out` alone).
+const EXPS: &[&str] = &[
+    "all", "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "summary", "overhead", "powercap",
+    "trace", "scale", "sparse", "ablation", "none",
+];
+const TIERS: &[&str] = &["functional", "model", "both"];
+
+/// Refuse the command line: usage errors exit 2 before any work happens.
+fn reject(msg: &str) -> ! {
+    eprintln!("repro: {msg}; try --help");
+    std::process::exit(2);
+}
+
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| reject(&format!("{flag} needs a value")))
+}
+
+fn one_of(it: &mut impl Iterator<Item = String>, flag: &str, valid: &[&str]) -> String {
+    let v = value(it, flag);
+    if !valid.contains(&v.as_str()) {
+        reject(&format!("{flag} {v:?} is not one of {}", valid.join("|")));
+    }
+    v
+}
+
+fn positive(s: &str) -> Option<usize> {
+    s.trim().parse().ok().filter(|&v| v > 0)
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         exp: "all".into(),
@@ -77,71 +118,51 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--exp" => args.exp = it.next().expect("--exp needs a value"),
-            "--tier" => args.tier = it.next().expect("--tier needs a value"),
+            "--exp" => args.exp = one_of(&mut it, "--exp", EXPS),
+            "--tier" => args.tier = one_of(&mut it, "--tier", TIERS),
             "--reps" => {
-                args.reps = it
-                    .next()
-                    .expect("--reps needs a value")
-                    .parse()
-                    .expect("reps")
+                let v = value(&mut it, "--reps");
+                args.reps = positive(&v).unwrap_or_else(|| {
+                    reject(&format!("--reps wants a positive integer, got {v:?}"))
+                });
             }
             "--smoke" => args.smoke = true,
             "--check" => args.check = true,
-            "--faults" => {
-                args.faults = Some(PathBuf::from(it.next().expect("--faults needs a value")))
-            }
+            "--faults" => args.faults = Some(value(&mut it, "--faults").into()),
             "--ranks" => {
-                let v = it.next().expect("--ranks needs a value");
-                let parsed: Vec<usize> = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|e| {
-                            eprintln!("--ranks wants comma-separated counts, got {v:?}: {e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                assert!(!parsed.is_empty(), "--ranks needs at least one count");
-                args.ranks = Some(parsed);
+                let v = value(&mut it, "--ranks");
+                args.ranks = Some(
+                    v.split(',')
+                        .map(positive)
+                        .collect::<Option<_>>()
+                        .unwrap_or_else(|| {
+                            reject(&format!(
+                                "--ranks wants comma-separated positive counts, got {v:?}"
+                            ))
+                        }),
+                );
             }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a value")),
-            "--trace-out" => {
-                args.trace_out = Some(PathBuf::from(it.next().expect("--trace-out needs a value")))
-            }
-            "--bench-out" => {
-                args.bench_out = Some(PathBuf::from(it.next().expect("--bench-out needs a value")))
-            }
+            "--out" => args.out = value(&mut it, "--out").into(),
+            "--trace-out" => args.trace_out = Some(value(&mut it, "--trace-out").into()),
+            "--bench-out" => args.bench_out = Some(value(&mut it, "--bench-out").into()),
             "--bench-campaign" => {
-                args.bench_campaign = Some(PathBuf::from(
-                    it.next().expect("--bench-campaign needs a value"),
-                ))
+                args.bench_campaign = Some(value(&mut it, "--bench-campaign").into())
             }
-            "--bench-coll" => {
-                args.bench_coll = Some(PathBuf::from(
-                    it.next().expect("--bench-coll needs a value"),
-                ))
-            }
-            "--bench-sched" => {
-                args.bench_sched = Some(PathBuf::from(
-                    it.next().expect("--bench-sched needs a value"),
-                ))
-            }
+            "--bench-coll" => args.bench_coll = Some(value(&mut it, "--bench-coll").into()),
+            "--bench-sched" => args.bench_sched = Some(value(&mut it, "--bench-sched").into()),
             "--bench-baseline" => {
-                args.bench_baseline = Some(PathBuf::from(
-                    it.next().expect("--bench-baseline needs a value"),
-                ))
+                args.bench_baseline = Some(value(&mut it, "--bench-baseline").into())
             }
             "--bench-quick" => args.bench_quick = true,
             "--help" | "-h" => {
-                println!("usage: repro [--exp all|table1|fig3..fig7|summary|overhead|powercap|trace|scale|sparse] [--tier functional|model|both] [--reps N] [--smoke] [--out DIR] [--trace-out PATH] [--check] [--faults PLAN.json] [--ranks P1,P2,...] [--bench-out PATH] [--bench-campaign PATH] [--bench-coll PATH] [--bench-sched PATH] [--bench-baseline PATH] [--bench-quick]");
+                println!("usage: repro [--exp {}] [--tier {}] [--reps N] [--smoke] [--out DIR] [--trace-out PATH] [--check] [--faults PLAN.json] [--ranks P1,P2,...] [--bench-out PATH] [--bench-campaign PATH] [--bench-coll PATH] [--bench-sched PATH] [--bench-baseline PATH] [--bench-quick]", EXPS.join("|"), TIERS.join("|"));
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
-            }
+            other => reject(&format!("unknown argument {other}")),
         }
+    }
+    if args.bench_quick && !args.bench_mode() {
+        reject("--bench-quick needs one of --bench-out, --bench-campaign, --bench-coll, --bench-sched, --bench-baseline");
     }
     args
 }
@@ -163,12 +184,7 @@ fn main() {
     // Bench mode runs only the pinned suites and exits: CI's bench job (and
     // local baseline regeneration) wants the timing artefacts without the
     // figure campaign behind them.
-    if args.bench_out.is_some()
-        || args.bench_campaign.is_some()
-        || args.bench_coll.is_some()
-        || args.bench_sched.is_some()
-        || args.bench_baseline.is_some()
-    {
+    if args.bench_mode() {
         use greenla_harness::bench::{
             campaign_suite, coll_suite, kernel_suite, sched_suite, BenchReport,
         };
@@ -395,6 +411,13 @@ fn main() {
         println!("{}", t.to_text());
     }
 
+    if wants("ablation") {
+        for t in [exp::ablation_ime_protocol(), exp::ablation_nb_sweep()] {
+            write_artifact(&args.out, &format!("{}.csv", t.id), &t.to_csv()).expect("write");
+            println!("{}", t.to_text());
+        }
+    }
+
     if wants("fig3") {
         if let Some(ds) = &dataset {
             let ranks = ds.points.iter().map(|p| p.ranks).min().unwrap_or(16);
@@ -562,25 +585,18 @@ fn main() {
     }
 
     if wants("overhead") && functional {
-        use greenla_cluster::placement::Placement;
-        use greenla_cluster::spec::ClusterSpec;
-        use greenla_cluster::PowerModel;
         use greenla_ime::par::ImepOptions;
         use greenla_linalg::generate;
         use greenla_monitor::overhead::measure_overhead;
-        use greenla_mpi::Machine;
 
         let sys = generate::diag_dominant(if args.smoke { 96 } else { 360 }, 1);
-        let build = || {
-            let spec = ClusterSpec::test_cluster(4, 4);
-            let placement = Placement::packed(&spec.node, 16).unwrap();
-            let power = PowerModel::scaled_deterministic(&spec.node);
-            Machine::new(spec, placement, power, 99).unwrap()
-        };
-        let report = measure_overhead(build, |ctx| {
-            let world = ctx.world();
-            greenla_ime::solve_imep(ctx, &world, &sys, ImepOptions::optimized()).unwrap();
-        });
+        let report = measure_overhead(
+            || exp::packed_test_machine(99),
+            |ctx| {
+                let world = ctx.world();
+                greenla_ime::solve_imep(ctx, &world, &sys, ImepOptions::optimized()).unwrap();
+            },
+        );
         let text = format!(
             "monitored makespan: {:.6} s\nraw makespan:       {:.6} s\noverhead:           {:.2} %\n",
             report.monitored_s,

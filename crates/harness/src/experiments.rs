@@ -3,15 +3,21 @@
 //!
 //! Functional-tier figures slice the measured [`Dataset`]; model-tier
 //! figures evaluate the calibrated analytic model at the paper's exact
-//! configurations. Figure numbering follows the paper (§5.2).
+//! configurations. Figure numbering follows the paper (§5.2). The design
+//! ablations A-1/A-2 report deterministic virtual time on a small packed
+//! cluster.
 
 use crate::config::paper;
 use crate::output::{Figure, Series, Table};
 use crate::run::Dataset;
-use greenla_cluster::placement::{table1_rows, LoadLayout, PAPER_RANKS};
+use greenla_cluster::placement::{table1_rows, LoadLayout, Placement, PAPER_RANKS};
 use greenla_cluster::spec::{ClusterSpec, NodeSpec};
 use greenla_cluster::PowerModel;
+use greenla_ime::{solve_imep, ImepOptions};
+use greenla_linalg::generate;
 use greenla_model::{predict, Prediction, Scenario, Solver};
+use greenla_mpi::Machine;
+use greenla_scalapack::pdgesv::pdgesv;
 
 /// Table 1: the test configurations (nodes, ranks, sockets).
 pub fn table1() -> Table {
@@ -359,6 +365,114 @@ pub fn fig7_model(n: usize) -> (Figure, Figure) {
     (fe, fp)
 }
 
+/// Sixteen ranks packed onto four 4-core test nodes with the
+/// deterministic scaled power model: the fixed machine of the ablations
+/// and the E-O1 overhead run.
+pub fn packed_test_machine(seed: u64) -> Machine {
+    let spec = ClusterSpec::test_cluster(4, 4);
+    let placement = Placement::packed(&spec.node, 16).expect("16 ranks fit 4×4 cores");
+    let power = PowerModel::scaled_deterministic(&spec.node);
+    Machine::new(spec, placement, power, seed).expect("ablation machine")
+}
+
+fn delta_pct(x: f64, base: f64) -> String {
+    format!("{:+.1}", (x / base - 1.0) * 100.0)
+}
+
+/// A-1: IMeP's communication protocol as the paper runs it (centralised
+/// h, last-row returns to the master, binomial broadcasts) against each
+/// optimisation alone and all three together, at n=192 on 16 ranks.
+pub fn ablation_ime_protocol() -> Table {
+    let sys = generate::diag_dominant(192, 77);
+    let paper = ImepOptions::paper();
+    let variants = [
+        ("paper", paper),
+        (
+            "no-last-rows",
+            ImepOptions {
+                collect_last_rows: false,
+                ..paper
+            },
+        ),
+        (
+            "local-h",
+            ImepOptions {
+                centralized_h: false,
+                ..paper
+            },
+        ),
+        (
+            "pipelined-bcast",
+            ImepOptions {
+                pipelined_bcast: true,
+                ..paper
+            },
+        ),
+        ("optimized", ImepOptions::optimized()),
+    ];
+    let runs: Vec<(&str, f64, u64)> = variants
+        .into_iter()
+        .map(|(name, opts)| {
+            let out = packed_test_machine(66).run(|ctx| {
+                let world = ctx.world();
+                solve_imep(ctx, &world, &sys, opts).expect("IMeP solve")
+            });
+            (name, out.makespan, out.traffic.msgs)
+        })
+        .collect();
+    let (_, t_paper, m_paper) = runs[0];
+    Table {
+        id: "ablation_ime".into(),
+        title: "A-1 — IMeP protocol ablation (n=192, 16 ranks, virtual time)".into(),
+        headers: [
+            "variant",
+            "makespan [s]",
+            "time vs paper [%]",
+            "msgs",
+            "msgs vs paper [%]",
+        ]
+        .map(String::from)
+        .to_vec(),
+        rows: runs
+            .iter()
+            .map(|&(name, t, m)| {
+                vec![
+                    name.to_string(),
+                    format!("{t:.6}"),
+                    delta_pct(t, t_paper),
+                    m.to_string(),
+                    delta_pct(m as f64, m_paper as f64),
+                ]
+            })
+            .collect(),
+    }
+}
+
+/// A-2: the ScaLAPACK block size `nb` — block-cyclic LU's latency vs
+/// locality trade-off — swept at n=256 on 16 ranks.
+pub fn ablation_nb_sweep() -> Table {
+    let sys = generate::diag_dominant(256, 77);
+    Table {
+        id: "ablation_nb".into(),
+        title: "A-2 — pdgesv block-size sweep (n=256, 16 ranks, virtual time)".into(),
+        headers: ["nb", "makespan [s]", "msgs"].map(String::from).to_vec(),
+        rows: [2usize, 4, 8, 16, 32, 64]
+            .into_iter()
+            .map(|nb| {
+                let out = packed_test_machine(88).run(|ctx| {
+                    let world = ctx.world();
+                    pdgesv(ctx, &world, &sys, nb).expect("pdgesv")
+                });
+                vec![
+                    nb.to_string(),
+                    format!("{:.6}", out.makespan),
+                    out.traffic.msgs.to_string(),
+                ]
+            })
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +483,44 @@ mod tests {
         assert_eq!(t.rows.len(), 9);
         assert_eq!(t.rows[0], vec!["144", "3", "48", "2", "24", "24"]);
         assert_eq!(t.rows[8], vec!["1296", "54", "24", "2", "12", "12"]);
+    }
+
+    /// Column `col` of the row whose first cell is `key`, as a number.
+    fn cell(t: &Table, key: &str, col: usize) -> f64 {
+        let row = t.rows.iter().find(|r| r[0] == key).expect(key);
+        row[col].parse().expect("numeric cell")
+    }
+
+    #[test]
+    fn ablation_ime_protocol_signs() {
+        let t = ablation_ime_protocol();
+        assert_eq!(t, ablation_ime_protocol(), "A-1 must be deterministic");
+        let time = |variant: &str| cell(&t, variant, 1);
+        let msgs = |variant: &str| cell(&t, variant, 3);
+        assert!(time("optimized") < time("paper"), "{}", t.to_text());
+        assert!(msgs("optimized") < msgs("paper"), "{}", t.to_text());
+        assert_eq!(msgs("paper"), 8685.0);
+        for variant in ["no-last-rows", "local-h"] {
+            assert_eq!(msgs(variant), 5805.0, "{variant}");
+        }
+        // Pipelining alone pays chunk/header overhead that trees this
+        // shallow cannot amortise: the documented small-scale sign.
+        assert!(time("pipelined-bcast") > time("paper"), "{}", t.to_text());
+    }
+
+    #[test]
+    fn ablation_nb_sweep_is_u_shaped() {
+        let t = ablation_nb_sweep();
+        assert_eq!(t, ablation_nb_sweep(), "A-2 must be deterministic");
+        let time = |nb: &str| cell(&t, nb, 1);
+        let best = t
+            .rows
+            .iter()
+            .min_by(|a, b| time(&a[0]).total_cmp(&time(&b[0])))
+            .map(|r| r[0].as_str())
+            .unwrap();
+        assert!(["8", "16", "32"].contains(&best), "{}", t.to_text());
+        assert!(time("2") > time(best) && time("64") > time(best));
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl Figure {
 }
 
 /// A plain table (Table 1, summary tables).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     pub id: String,
     pub title: String,

@@ -312,7 +312,7 @@ impl Stats {
 }
 
 /// Repetition-aggregated measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Aggregated {
     pub duration_s: Stats,
     pub total_energy_j: Stats,

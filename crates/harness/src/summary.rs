@@ -20,6 +20,21 @@ pub struct ClaimCheck {
     pub measured: String,
     /// Does the measurement land in (or reasonably near) the paper's band?
     pub pass: bool,
+    /// No measured point lies in the regime the claim is scoped to, so
+    /// there is no verdict (`pass` is false); `measured` says why.
+    #[serde(default = "Default::default")]
+    pub not_applicable: bool,
+}
+
+impl ClaimCheck {
+    /// `yes`, `NO` or `n/a`.
+    pub fn verdict(&self) -> &'static str {
+        match (self.not_applicable, self.pass) {
+            (true, _) => "n/a",
+            (false, true) => "yes",
+            (false, false) => "NO",
+        }
+    }
 }
 
 fn pct(x: f64) -> String {
@@ -53,18 +68,27 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
     let gap_lo = gaps.iter().cloned().fold(f64::INFINITY, f64::min);
     let gap_hi = gaps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let gap_mean = gaps.iter().sum::<f64>() / gaps.len().max(1) as f64;
+    // A grid with no point in that regime (e.g. a smoke run at many ranks)
+    // has no energy gap to judge, for S1 or for S2's comparison with it.
+    let in_regime = total > 0;
+    let no_regime = format!("no point at n/ranks ≥ {PAPER_MIN_RATIO}, the paper's regime");
     out.push(ClaimCheck {
         id: "S1-energy-gap".into(),
         claim: "ScaLAPACK consumes less energy than IMe, gap 50–60% (§5.4)".into(),
-        measured: format!(
-            "ScaLAPACK wins {wins}/{total} configs; gap {}..{} (mean {})",
-            pct(gap_lo),
-            pct(gap_hi),
-            pct(gap_mean)
-        ),
+        measured: if in_regime {
+            format!(
+                "ScaLAPACK wins {wins}/{total} configs; gap {}..{} (mean {})",
+                pct(gap_lo),
+                pct(gap_hi),
+                pct(gap_mean)
+            )
+        } else {
+            no_regime.clone()
+        },
         // The paper itself notes "except for a few cases where the values
         // are quite similar" — require a clear majority plus a solid mean.
-        pass: wins * 4 >= total * 3 && gap_mean > 0.20,
+        pass: in_regime && wins * 4 >= total * 3 && gap_mean > 0.20,
+        not_applicable: !in_regime,
     });
 
     // --- S2: power gap is much smaller, 12-18% (§5.4) ---
@@ -80,12 +104,20 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
     out.push(ClaimCheck {
         id: "S2-power-gap".into(),
         claim: "power gap between IMe and ScaLAPACK reduces to 12–18% (§5.4)".into(),
-        measured: format!(
-            "mean power gap {} (energy gap {})",
-            pct(pgap_mean),
-            pct(gap_mean)
-        ),
-        pass: pgap_mean.abs() < gap_mean && pgap_mean.abs() < 0.35,
+        measured: if in_regime {
+            format!(
+                "mean power gap {} (energy gap {})",
+                pct(pgap_mean),
+                pct(gap_mean)
+            )
+        } else {
+            format!(
+                "mean power gap {}; no energy gap to compare: {no_regime}",
+                pct(pgap_mean)
+            )
+        },
+        pass: in_regime && pgap_mean.abs() < gap_mean && pgap_mean.abs() < 0.35,
+        not_applicable: !in_regime,
     });
 
     // --- S3: full load is the most energy-efficient layout (§5.3) ---
@@ -108,6 +140,7 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
         claim: "full-load deployments consume less than half-load ones (§5.3)".into(),
         measured: format!("full load wins {full_wins}/{full_total} comparisons"),
         pass: full_wins * 10 >= full_total * 9,
+        not_applicable: false,
     });
 
     // --- S4: one-socket vs two-socket half load are similar (§5.2) ---
@@ -128,6 +161,7 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
         claim: "one-socket and two-socket half-load overlap, no clear winner (§5.2)".into(),
         measured: format!("1-socket/2-socket energy within ±{}", pct(worst)),
         pass: worst < 0.15,
+        not_applicable: false,
     });
 
     // --- S5: the idle socket draws 50-60% less, not ~100% less (§5.3) ---
@@ -159,6 +193,7 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
         claim: "the idle socket consumes 50–60% less than the loaded one (§5.3)".into(),
         measured: format!("mean idle-socket reduction {}", pct(drop_mean)),
         pass: (0.35..=0.70).contains(&drop_mean),
+        not_applicable: false,
     });
 
     // --- S6: duration crossover (§5.2) ---
@@ -183,6 +218,7 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
         // ScaLAPACK's dense-side win here; the crossover itself is checked
         // at paper scale (model tier, S6 below).
         pass: !ge_fast.is_empty(),
+        not_applicable: false,
     });
 
     // --- S7: DRAM energy gap (§5.4: 12-42% depending on configuration) ---
@@ -202,6 +238,7 @@ pub fn check_dataset(ds: &Dataset) -> Vec<ClaimCheck> {
         claim: "DRAM power gap between IMe and ScaLAPACK is even more significant (§5.4)".into(),
         measured: format!("mean DRAM power gap {}", pct(dgap_mean)),
         pass: dgap_mean > 0.05,
+        not_applicable: false,
     });
 
     out
@@ -235,6 +272,7 @@ pub fn check_model() -> Vec<ClaimCheck> {
             pct(mean_gap)
         ),
         pass: (0.30..=0.75).contains(&mean_gap),
+        not_applicable: false,
     });
 
     // Power gap at paper scale.
@@ -251,6 +289,7 @@ pub fn check_model() -> Vec<ClaimCheck> {
         claim: "power gap 12–18% at paper scale (§5.4)".into(),
         measured: format!("model power gap {} at n=17280, 144 ranks", pct(pgap)),
         pass: (0.02..=0.30).contains(&pgap),
+        not_applicable: false,
     });
 
     // Crossover at paper scale.
@@ -276,6 +315,7 @@ pub fn check_model() -> Vec<ClaimCheck> {
                 .into(),
         measured: format!("IMe wins {ime_wins:?}; ScaLAPACK wins {ge_wins:?}"),
         pass: ime_wins_distributed && ge_wins_dense,
+        not_applicable: false,
     });
 
     out
@@ -296,7 +336,7 @@ pub fn claims_table(id: &str, title: &str, checks: &[ClaimCheck]) -> Table {
                     c.id.clone(),
                     c.claim.clone(),
                     c.measured.clone(),
-                    if c.pass { "yes".into() } else { "NO".into() },
+                    c.verdict().into(),
                 ]
             })
             .collect(),
@@ -313,6 +353,54 @@ mod tests {
         for c in &checks {
             assert!(c.pass, "claim {} failed: {}", c.id, c.measured);
         }
+    }
+
+    /// A grid whose points all sit below the paper's n/ranks regime.
+    fn below_regime_dataset() -> Dataset {
+        use crate::run::{Aggregated, DataPoint, Stats};
+        let point = |solver: &str, energy_j: f64, power_w: f64| DataPoint {
+            solver: solver.into(),
+            n: 96,
+            ranks: 64,
+            layout: LoadLayout::FullLoad,
+            agg: Aggregated {
+                duration_s: Stats::from(&[energy_j / power_w]),
+                total_energy_j: Stats::from(&[energy_j]),
+                dram_energy_j: Stats::from(&[0.1 * energy_j]),
+                mean_power_w: Stats::from(&[power_w]),
+                ..Aggregated::default()
+            },
+            violations: Vec::new(),
+            fault_reports: Vec::new(),
+        };
+        Dataset {
+            points: vec![point("IMe", 2.0, 40.0), point("ScaLAPACK", 1.0, 35.0)],
+        }
+    }
+
+    #[test]
+    fn energy_and_power_gaps_are_na_below_the_paper_regime() {
+        let checks = check_dataset(&below_regime_dataset());
+        for id in ["S1-energy-gap", "S2-power-gap"] {
+            let c = checks.iter().find(|c| c.id == id).unwrap();
+            assert!(c.not_applicable && !c.pass, "{c:?}");
+            assert_eq!(c.verdict(), "n/a");
+            assert!(c.measured.contains("n/ranks ≥ 6.5"), "{}", c.measured);
+            assert!(!c.measured.contains("inf"), "{}", c.measured);
+        }
+        // The other claims keep their verdicts.
+        let s7 = checks.iter().find(|c| c.id == "S7-dram-gap").unwrap();
+        assert!(!s7.not_applicable);
+        let text = claims_table("t", "claims", &checks).to_text();
+        assert!(text.contains("n/a"), "{text}");
+    }
+
+    #[test]
+    fn claim_checks_written_before_the_na_verdict_still_parse() {
+        let old = r#"[{"id": "S1-energy-gap", "claim": "c", "measured": "m", "pass": true}]"#;
+        let checks: Vec<ClaimCheck> = serde_json::from_str(old).unwrap();
+        assert!(checks[0].pass && !checks[0].not_applicable);
+        assert_eq!(checks[0].verdict(), "yes");
     }
 
     #[test]
