@@ -20,7 +20,7 @@ use crate::formulas::{self, IterCost};
 use crate::partition::{HaloPlan, RowBlocks, RowSplit};
 use greenla_linalg::blas1::ddot;
 use greenla_linalg::sparse::{CsrMatrix, SparseSystem};
-use greenla_mpi::{Comm, RankCtx};
+use greenla_mpi::{Comm, RankCtx, RankEvent};
 
 /// User tags for the halo exchange: one tag per exchange round, so
 /// consecutive iterations can never alias even if a fast rank runs ahead.
@@ -316,19 +316,19 @@ impl SpmvPhase<'_> {
         }
         let tag = HALO_TAG_BASE + *exchanges;
         *exchanges += 1;
-        ctx.trace_begin("comm", "halo_post");
+        ctx.emit(RankEvent::SpanBegin("comm", "halo_post"));
         for (peer, idxs) in &self.plan.send {
             let vals: Vec<f64> = idxs.iter().map(|&j| v[j]).collect();
             ctx.send_f64(comm, *peer, tag, &vals);
         }
-        ctx.trace_end("comm", "halo_post");
+        ctx.emit(RankEvent::SpanEnd("comm", "halo_post"));
         // Interior rows touch no remote column, so they proceed while the
         // payloads fly; the recv below then pays only the residual wait.
-        ctx.trace_begin("compute", "spmv_interior");
+        ctx.emit(RankEvent::SpanBegin("compute", "spmv_interior"));
         self.a_loc.spmv_rows(&self.split.interior, v, q);
         ctx.compute(self.interior.flops, self.interior.bytes);
-        ctx.trace_end("compute", "spmv_interior");
-        ctx.trace_begin("comm", "halo_wait");
+        ctx.emit(RankEvent::SpanEnd("compute", "spmv_interior"));
+        ctx.emit(RankEvent::SpanBegin("comm", "halo_wait"));
         for (peer, idxs) in &self.plan.recv {
             let vals = ctx.recv_f64(comm, *peer, tag);
             debug_assert_eq!(vals.len(), idxs.len());
@@ -336,12 +336,12 @@ impl SpmvPhase<'_> {
                 v[j] = val;
             }
         }
-        ctx.trace_end("comm", "halo_wait");
-        ctx.trace_begin("compute", "spmv_boundary");
+        ctx.emit(RankEvent::SpanEnd("comm", "halo_wait"));
+        ctx.emit(RankEvent::SpanBegin("compute", "spmv_boundary"));
         self.a_loc.spmv_rows(&self.split.boundary, v, q);
         let c = self.boundary.plus(extra);
         ctx.compute(c.flops, c.bytes);
-        ctx.trace_end("compute", "spmv_boundary");
+        ctx.emit(RankEvent::SpanEnd("compute", "spmv_boundary"));
     }
 }
 
@@ -358,7 +358,7 @@ fn halo_exchange(
 ) {
     let tag = HALO_TAG_BASE + *exchanges;
     *exchanges += 1;
-    ctx.trace_begin("comm", "halo_exchange");
+    ctx.emit(RankEvent::SpanBegin("comm", "halo_exchange"));
     for (peer, idxs) in &plan.send {
         let vals: Vec<f64> = idxs.iter().map(|&j| v[j]).collect();
         ctx.send_f64(comm, *peer, tag, &vals);
@@ -370,7 +370,7 @@ fn halo_exchange(
             v[j] = val;
         }
     }
-    ctx.trace_end("comm", "halo_exchange");
+    ctx.emit(RankEvent::SpanEnd("comm", "halo_exchange"));
 }
 
 /// Ring-allgather the owned blocks into the replicated full solution.

@@ -6,10 +6,10 @@
 //! application to catch deadlocks and collective mismatches; the
 //! virtual-time runtime can do strictly better, because execution is
 //! deterministic and every envelope and clock advance is observable. This
-//! crate is the analysis layer: `greenla-mpi` calls its hooks from the
-//! runtime's hot paths, and the sink turns what it sees into structured
-//! diagnostics ([`Violation`]) instead of hangs or silently-wrong energy
-//! numbers.
+//! crate is the analysis layer: `greenla-mpi`'s per-rank event stream
+//! feeds each [`RankChecker`], and the sink turns what it sees into
+//! structured diagnostics ([`Violation`]) instead of hangs or
+//! silently-wrong energy numbers.
 //!
 //! Five rule families:
 //!
@@ -32,10 +32,9 @@
 //! * **Clock causality (CLK001/CLK002)** — per-rank virtual clocks are
 //!   monotone and receives complete no earlier than the message's arrival.
 //!
-//! Like `greenla-trace`, the sink is an *observer*: hooks never touch a
+//! Like `greenla-trace`, the sink is an *observer*: it never touches a
 //! virtual clock, so a checked run produces bit-identical timings to an
-//! unchecked one (the mpi and harness test suites assert this), and a
-//! disabled sink costs one branch per hook.
+//! unchecked one (the mpi and harness test suites assert this).
 //!
 //! # Example
 //!

@@ -396,15 +396,6 @@ pub struct RankChecker {
 }
 
 impl RankChecker {
-    /// A checker that records nothing (for contexts built without a sink).
-    pub fn disabled() -> Self {
-        Self {
-            shared: None,
-            rank: 0,
-            node: 0,
-        }
-    }
-
     /// Is this checker active? Callers can skip assembling hook arguments
     /// when false.
     #[inline]
@@ -444,8 +435,8 @@ impl RankChecker {
         });
     }
 
-    /// A message left for `dst` at virtual time `t`.
-    pub fn sent(&mut self, _dst: usize, _comm: u64, _tag: u64, t: f64) {
+    /// A message left this rank at virtual time `t`.
+    pub fn sent(&mut self, t: f64) {
         self.with_state(|st, rank, _| st.note_clock(rank, t));
     }
 
@@ -699,18 +690,6 @@ impl RankChecker {
             st.waits[rank] = Wait::Running;
         });
     }
-
-    /// See [`CheckSink::abort_message`].
-    pub fn abort_message(&self) -> String {
-        let report = self
-            .shared
-            .as_ref()
-            .and_then(|sh| sh.lock().deadlock_msg.clone());
-        match report {
-            Some(m) => format!("simulated MPI run aborted: {m}"),
-            None => "simulated MPI run aborted: a peer rank failed".to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -751,7 +730,7 @@ mod tests {
         let mut c0 = s.checker(0, 0);
         let mut c1 = s.checker(1, 0);
         c0.compute(0.0, 1.0);
-        c0.sent(1, 0, 7, 1.0);
+        c0.sent(1.0);
         c1.block_recv(0, 0, 7, 0.0);
         c1.unblock_recv(1.5, 1.5);
         c0.enter_coll(ev(0, 0, CollKind::Barrier, None, 0), &[0, 1], 1.0);
@@ -778,7 +757,7 @@ mod tests {
                     for i in 0..200 {
                         let t = i as f64;
                         c.compute(t, t + 0.5);
-                        c.sent(peer, 0, 7, t + 0.5);
+                        c.sent(t + 0.5);
                         c.block_recv(peer, 0, 7, t + 0.5);
                         c.unblock_recv(t + 0.5, t + 1.0);
                     }

@@ -33,7 +33,10 @@ use greenla_linalg::generate::SystemKind;
 use greenla_linalg::sparse::{CsrMatrix, SparseSystem};
 use greenla_monitor::monitoring::MonitorConfig;
 use greenla_monitor::protocol::monitored_run;
-use greenla_mpi::{EventKind, FaultPlan, FaultReport, FaultSink, Machine, TraceEvent, TraceSink};
+use greenla_mpi::{
+    CheckSink, EventKind, FaultPlan, FaultReport, FaultSink, Machine, TraceEvent, TraceSink,
+    Violation,
+};
 use greenla_rapl::{Domain, RaplSim};
 use greenla_scalapack::pdgesv::pdgesv;
 use serde_json::Value;
@@ -280,11 +283,10 @@ fn run_solve(machine: &Machine, solver: SolverChoice, n: usize, seed: u64) -> f6
     out.makespan
 }
 
-/// Run one monitored solve with tracing enabled and export the Chrome
-/// Trace document. Fully deterministic in `(solver, n, ranks, seed)`.
-pub fn traced_solve(solver: SolverChoice, n: usize, ranks: usize, seed: u64) -> TracedSolve {
-    let machine = build_machine(ranks, seed).with_trace(TraceSink::enabled());
-    let makespan_s = run_solve(&machine, solver, n, seed);
+/// Run the solve on a traced `machine` and export its Chrome Trace
+/// document.
+fn traced_run(machine: &Machine, solver: SolverChoice, n: usize, seed: u64) -> TracedSolve {
+    let makespan_s = run_solve(machine, solver, n, seed);
     let events = machine.trace().drain();
     let rapl = RaplSim::new(machine.ledger(), machine.power().clone(), seed);
     TracedSolve {
@@ -292,6 +294,29 @@ pub fn traced_solve(solver: SolverChoice, n: usize, ranks: usize, seed: u64) -> 
         makespan_s,
         event_count: events.len(),
     }
+}
+
+/// Run one monitored solve with tracing enabled and export the Chrome
+/// Trace document. Fully deterministic in `(solver, n, ranks, seed)`.
+pub fn traced_solve(solver: SolverChoice, n: usize, ranks: usize, seed: u64) -> TracedSolve {
+    let machine = build_machine(ranks, seed).with_trace(TraceSink::enabled());
+    traced_run(&machine, solver, n, seed)
+}
+
+/// [`traced_solve`] with the correctness checker attached too, so both
+/// consumers of the runtime's event stream watch one run. The checker's
+/// verdict rides along.
+pub fn traced_checked_solve(
+    solver: SolverChoice,
+    n: usize,
+    ranks: usize,
+    seed: u64,
+) -> (TracedSolve, Vec<Violation>) {
+    let machine = build_machine(ranks, seed)
+        .with_trace(TraceSink::enabled())
+        .with_check(CheckSink::enabled());
+    let traced = traced_run(&machine, solver, n, seed);
+    (traced, machine.check().violations())
 }
 
 /// The same solve without tracing — the baseline for the invariance test
@@ -316,13 +341,6 @@ pub fn traced_faulted_solve(
     let machine = build_machine(ranks, seed)
         .with_trace(TraceSink::enabled())
         .with_faults(sink.clone());
-    let makespan_s = run_solve(&machine, solver, n, seed);
-    let events = machine.trace().drain();
-    let rapl = RaplSim::new(machine.ledger(), machine.power().clone(), seed);
-    let traced = TracedSolve {
-        trace: chrome_trace_json(&events, &rapl, makespan_s, COUNTER_SAMPLES),
-        makespan_s,
-        event_count: events.len(),
-    };
+    let traced = traced_run(&machine, solver, n, seed);
     (traced, sink.report())
 }

@@ -1,11 +1,15 @@
-//! Exporter contract tests: the Chrome Trace document of a tiny traced
-//! solve is stable (golden), structurally well formed (monotone per-track
-//! timestamps, matched B/E pairs, counter tracks present, monitoring
-//! choreography visible), and tracing never perturbs virtual time.
+//! Exporter contract tests: the Chrome Trace documents of a tiny plain and
+//! a tiny faulted solve match committed golden files byte for byte
+//! (`tests/golden/`), the export is structurally well formed (monotone
+//! per-track timestamps, matched B/E pairs, counter tracks present,
+//! monitoring choreography visible), and tracing never perturbs virtual
+//! time.
 
-use greenla_harness::chrome_trace::{traced_solve, untraced_makespan};
+use greenla_harness::chrome_trace::{traced_faulted_solve, traced_solve, untraced_makespan};
 use greenla_harness::config::SolverChoice;
+use greenla_mpi::{ColumnLoss, FaultPlan, MsgFault, MsgFaultKind};
 use serde_json::Value;
+use std::path::Path;
 
 const N: usize = 64;
 const RANKS: usize = 4;
@@ -25,16 +29,108 @@ fn field_u64(e: &Value, key: &str) -> u64 {
     e.get(key).and_then(Value::as_u64).expect("u64 field")
 }
 
+/// Matrix order of the golden runs: small enough that each golden file
+/// stays under 100 KB.
+const GOLDEN_N: usize = 8;
+
+/// A recoverable plan touching every fault instant the runtime and the
+/// protocol emit on one node: a dropped-and-retried send, a duplicate, a
+/// delayed message, a monitoring-rank death (the node degrades) and an
+/// IMe column loss. The duplicate is rank 3's first send, the status
+/// broadcast, whose receiver has no other receive outstanding: the
+/// discard instant lands at the same virtual time whichever order the
+/// workers run the fibers in.
+fn golden_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 7,
+        messages: vec![
+            MsgFault {
+                src: 1,
+                nth_send: 2,
+                kind: MsgFaultKind::Drop { count: 2 },
+            },
+            MsgFault {
+                src: 3,
+                nth_send: 0,
+                kind: MsgFaultKind::Duplicate,
+            },
+            MsgFault {
+                src: 2,
+                nth_send: 4,
+                kind: MsgFaultKind::Delay { extra_s: 2.5e-4 },
+            },
+        ],
+        crashes: vec![],
+        counters: vec![],
+        monitor_deaths: vec![0],
+        column_loss: Some(ColumnLoss {
+            level: 2,
+            column: 5,
+        }),
+    }
+}
+
+/// The document as committed: one trace event per line, so a drift
+/// reviews as a line diff.
+fn golden_text(doc: &Value) -> String {
+    let lines: Vec<String> = trace_events(doc)
+        .iter()
+        .map(|e| serde_json::to_string(e).expect("serialise event"))
+        .collect();
+    format!(
+        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
+        lines.join(",\n")
+    )
+}
+
+/// Compare `doc` with `tests/golden/<name>`; `GREENLA_UPDATE_GOLDEN=1`
+/// rewrites the file instead.
+fn assert_golden(name: &str, doc: &Value) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let text = golden_text(doc);
+    if std::env::var_os("GREENLA_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &text).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file missing; run with GREENLA_UPDATE_GOLDEN=1 to create it");
+    if text != golden {
+        let (line, (got, want)) = text
+            .lines()
+            .zip(golden.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(i, pair)| (i + 1, pair))
+            .unwrap_or((0, ("<length differs>", "")));
+        panic!(
+            "trace drifted from tests/golden/{name} at line {line}:\n  got  {got}\n  want {want}\n\
+             if the change is intentional, regenerate with GREENLA_UPDATE_GOLDEN=1"
+        );
+    }
+}
+
 #[test]
 fn export_is_deterministic_golden() {
-    let a = serde_json::to_string_pretty(&export()).unwrap();
-    let b = serde_json::to_string_pretty(&export()).unwrap();
-    assert_eq!(a, b, "same run must export byte-identical JSON");
-    assert!(
-        a.len() > 1000,
-        "trace should be substantive: {} bytes",
-        a.len()
+    let traced = traced_solve(SolverChoice::ime_optimized(), GOLDEN_N, RANKS, SEED);
+    assert_golden("trace_ime.json", &traced.trace);
+}
+
+#[test]
+fn faulted_export_matches_golden() {
+    let (traced, report) = traced_faulted_solve(
+        SolverChoice::ime_optimized(),
+        GOLDEN_N,
+        RANKS,
+        SEED,
+        &golden_plan(),
     );
+    assert!(
+        report.injected.total() > 0,
+        "the plan actually fired: {report:?}"
+    );
+    assert_golden("trace_ime_faulted.json", &traced.trace);
 }
 
 #[test]

@@ -150,6 +150,60 @@ fn trace_event_stream_is_identical_across_runs() {
     );
 }
 
+#[test]
+fn tracing_and_checking_together_match_each_alone() {
+    use greenla_cluster::placement::Placement;
+    use greenla_cluster::spec::ClusterSpec;
+    use greenla_cluster::PowerModel;
+    use greenla_harness::chrome_trace::{traced_checked_solve, untraced_makespan};
+    use greenla_mpi::{CheckSink, Machine, TraceSink};
+
+    // Clean solves: with both consumers on, virtual time matches the plain
+    // run, the trace matches the trace-only run, and nothing is flagged.
+    let text = |doc: &serde_json::Value| serde_json::to_string(doc).expect("serialise trace");
+    for solver in [
+        SolverChoice::ime_optimized(),
+        SolverChoice::scalapack(),
+        SolverChoice::cg(),
+    ] {
+        let (both, violations) = traced_checked_solve(solver, 64, 4, 11);
+        assert!(violations.is_empty(), "{solver:?}: {violations:#?}");
+        assert_eq!(
+            both.makespan_s.to_bits(),
+            untraced_makespan(solver, 64, 4, 11).to_bits(),
+            "{solver:?}: observing must not move the virtual clock"
+        );
+        assert_eq!(
+            text(&both.trace),
+            text(&traced_solve(solver, 64, 4, 11).trace),
+            "{solver:?}: checking must not change the trace"
+        );
+    }
+
+    // A broken program (crossed broadcast roots, as in the mpi crate's
+    // check battery): tracing must not change the verdict.
+    let violations = |trace: bool| {
+        let spec = ClusterSpec::test_cluster(1, 1);
+        let placement = Placement::layout(&spec.node, 2, LoadLayout::FullLoad).unwrap();
+        let mut m = Machine::new(spec, placement, PowerModel::deterministic(), 7)
+            .unwrap()
+            .with_check(CheckSink::enabled());
+        if trace {
+            m = m.with_trace(TraceSink::enabled());
+        }
+        m.run(|ctx| {
+            let world = ctx.world();
+            let mut buf = vec![ctx.rank() as f64];
+            ctx.bcast_f64(&world, ctx.rank(), &mut buf);
+        });
+        assert_eq!(m.trace().drain().is_empty(), !trace);
+        m.check().violations()
+    };
+    let checked_only = violations(false);
+    assert!(!checked_only.is_empty(), "the broken program is flagged");
+    assert_eq!(violations(true), checked_only);
+}
+
 /// A recoverable plan exercising every fault family that completes: message
 /// drop (within the retry budget), duplicate, delay, a counter glitch and a
 /// monitoring-rank death (degrading one node), plus an IMe column loss.

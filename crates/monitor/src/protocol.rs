@@ -23,7 +23,7 @@ use crate::error::MonitorError;
 use crate::files;
 use crate::monitoring::{end_monitoring, start_monitoring, MonitorConfig, Session};
 use crate::report::NodeReport;
-use greenla_mpi::{Comm, RankCtx};
+use greenla_mpi::{Comm, RankCtx, RankEvent};
 use greenla_rapl::RaplSim;
 use std::sync::Arc;
 
@@ -67,10 +67,10 @@ impl MonitorHandle {
         rapl: &Arc<RaplSim>,
         cfg: &MonitorConfig,
     ) -> Result<MonitorHandle, MonitorError> {
-        ctx.trace_begin("monitor", "monitor_begin");
+        ctx.emit(RankEvent::SpanBegin("monitor", "monitor_begin"));
         let world = ctx.world();
         let node_comm = ctx.split_shared(&world);
-        ctx.check_monitor_node_comm(&node_comm);
+        ctx.emit(RankEvent::MonitorNodeComm(node_comm.id()));
         let is_monitor = node_comm.is_highest();
         let monitor_rank_world = node_comm.global_rank(node_comm.size() - 1);
         // Node synchronisation before measurements begin.
@@ -84,7 +84,7 @@ impl MonitorHandle {
             // aborts the run with a stable diagnostic.
             let death = ctx.faults_enabled() && ctx.faults_mut().monitor_death_due();
             if death {
-                ctx.trace_instant("fault:monitor_death");
+                ctx.emit(RankEvent::Fault("fault:monitor_death"));
                 if !cfg.degrade_on_fault {
                     panic!(
                         "injected fault: monitoring rank {} of node {} died during \
@@ -93,20 +93,18 @@ impl MonitorHandle {
                         ctx.node()
                     );
                 }
-                ctx.faults_mut().note_degraded();
-                ctx.trace_instant("fault:monitor_degraded");
+                ctx.note_degraded();
                 status = vec![STATUS_DEGRADED];
             } else {
                 match start_monitoring(rapl, ctx.node(), cfg, ctx.now()) {
                     Ok(s) => {
-                        ctx.trace_instant("start_monitoring");
-                        ctx.check_monitor_start();
+                        ctx.emit(RankEvent::Instant("start_monitoring"));
+                        ctx.emit(RankEvent::MonitorStart);
                         session = Some(s);
                     }
                     Err(MonitorError::Papi(code)) => {
                         if cfg.degrade_on_fault {
-                            ctx.faults_mut().note_degraded();
-                            ctx.trace_instant("fault:monitor_degraded");
+                            ctx.note_degraded();
                             status = vec![STATUS_DEGRADED];
                         } else {
                             status = vec![code as i64 as u64];
@@ -122,14 +120,14 @@ impl MonitorHandle {
         let status = ctx.bcast_shared_u64(&node_comm, root, is_monitor.then_some(status));
         let degraded = status[0] == STATUS_DEGRADED;
         if status[0] != STATUS_OK && !degraded {
-            ctx.trace_end("monitor", "monitor_begin");
+            ctx.emit(RankEvent::SpanEnd("monitor", "monitor_begin"));
             return Err(MonitorError::Papi(status[0] as i64 as i32));
         }
         // General execution synchronisation. A degraded node still joins:
         // the rest of the job must not notice the downgrade.
         ctx.barrier(&world);
-        ctx.trace_end("monitor", "monitor_begin");
-        ctx.trace_begin("monitor", "measured_region");
+        ctx.emit(RankEvent::SpanEnd("monitor", "monitor_begin"));
+        ctx.emit(RankEvent::SpanBegin("monitor", "measured_region"));
         Ok(MonitorHandle {
             node_comm,
             session,
@@ -144,9 +142,7 @@ impl MonitorHandle {
     /// node synchronise so the boundary is well defined.
     pub fn phase(&mut self, ctx: &mut RankCtx, label: &str) -> Result<(), MonitorError> {
         ctx.barrier(&self.node_comm);
-        if ctx.trace_enabled() {
-            ctx.trace_instant(&format!("phase:{label}"));
-        }
+        ctx.emit(RankEvent::Phase(label));
         if let Some(mut s) = self.session.take() {
             match s.mark_phase(label, ctx.now()) {
                 Ok(()) => self.session = Some(s),
@@ -156,8 +152,7 @@ impl MonitorHandle {
                     if !self.degrade_on_fault {
                         return Err(e);
                     }
-                    ctx.faults_mut().note_degraded();
-                    ctx.trace_instant("fault:monitor_degraded");
+                    ctx.note_degraded();
                     self.degraded = true;
                 }
             }
@@ -171,17 +166,17 @@ impl MonitorHandle {
         ctx: &mut RankCtx,
         cfg: &MonitorConfig,
     ) -> Result<Option<NodeReport>, MonitorError> {
-        ctx.trace_end("monitor", "measured_region");
-        ctx.trace_begin("monitor", "monitor_finish");
+        ctx.emit(RankEvent::SpanEnd("monitor", "measured_region"));
+        ctx.emit(RankEvent::SpanBegin("monitor", "monitor_finish"));
         // Ranks of the node synchronise so the monitoring rank stops only
         // after all of them completed their share.
         ctx.barrier(&self.node_comm);
         let mut report = None;
         if let Some(session) = self.session {
-            ctx.check_monitor_end();
+            ctx.emit(RankEvent::MonitorEnd);
             match end_monitoring(session, ctx.node(), self.monitor_rank_world, ctx.now()) {
                 Ok(r) => {
-                    ctx.trace_instant("end_monitoring");
+                    ctx.emit(RankEvent::Instant("end_monitoring"));
                     if let Some(dir) = &cfg.output_dir {
                         files::write_node_report(dir, &r)
                             .map_err(|e| MonitorError::Io(e.to_string()))?;
@@ -195,15 +190,14 @@ impl MonitorHandle {
                     if !self.degrade_on_fault {
                         return Err(e);
                     }
-                    ctx.faults_mut().note_degraded();
-                    ctx.trace_instant("fault:monitor_degraded");
+                    ctx.note_degraded();
                 }
             }
         }
         // Final job-wide alignment (then MPI_Finalize in the C framework).
         let world = ctx.world();
         ctx.barrier(&world);
-        ctx.trace_end("monitor", "monitor_finish");
+        ctx.emit(RankEvent::SpanEnd("monitor", "monitor_finish"));
         Ok(report)
     }
 

@@ -28,8 +28,9 @@ use crate::comm::Comm;
 use crate::context::{RankCtx, COLL_TAG};
 use crate::envelope::Payload;
 use crate::error::CollContractError;
+use crate::observe::RankEvent;
 use greenla_check::tagspace;
-use greenla_check::{CollEvent, CollKind};
+use greenla_check::CollKind;
 use std::sync::Arc;
 
 /// Marker chunk id for unchunked collective messages (keeps plain and
@@ -92,23 +93,6 @@ fn sum_op(a: &mut [f64], b: &[f64]) {
 }
 
 impl<'m> RankCtx<'m> {
-    /// Allocate this collective's sequence number and record its lockstep
-    /// signature with the checker.
-    fn coll_site(&mut self, comm: &Comm, kind: CollKind, root: Option<usize>, elems: u64) -> u64 {
-        let seq = self.next_seq(comm.id());
-        self.check_enter_coll(
-            CollEvent {
-                comm: comm.id(),
-                seq,
-                kind,
-                root,
-                elems,
-            },
-            comm.members(),
-        );
-        seq
-    }
-
     /// Abort the run with the stable collective-contract diagnostic when a
     /// peer's reduction buffer does not match ours.
     fn check_reduce_len(&self, comm: &Comm, got: usize, expected: usize) {
@@ -169,14 +153,14 @@ impl<'m> RankCtx<'m> {
     /// the result should prefer [`RankCtx::bcast_shared_f64`], which skips
     /// the copy-on-unwrap of a buffer still shared with in-flight sends.
     pub fn bcast_f64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<f64>) {
-        self.trace_begin("coll", "bcast");
+        self.emit(RankEvent::SpanBegin("coll", "bcast"));
         let payload = if comm.rank() == root {
             Some(Payload::f64(std::mem::take(buf)))
         } else {
             None
         };
         *buf = self.bcast_payload(comm, root, payload).expect_f64();
-        self.trace_end("coll", "bcast");
+        self.emit(RankEvent::SpanEnd("coll", "bcast"));
     }
 
     /// Zero-copy `MPI_Bcast` of doubles for read-only consumers: the root
@@ -188,14 +172,14 @@ impl<'m> RankCtx<'m> {
         root: usize,
         data: Option<Vec<f64>>,
     ) -> Arc<Vec<f64>> {
-        self.trace_begin("coll", "bcast");
+        self.emit(RankEvent::SpanBegin("coll", "bcast"));
         let payload = if comm.rank() == root {
             Some(Payload::f64(data.expect("root must supply the payload")))
         } else {
             None
         };
         let out = self.bcast_payload(comm, root, payload).into_shared_f64();
-        self.trace_end("coll", "bcast");
+        self.emit(RankEvent::SpanEnd("coll", "bcast"));
         out
     }
 
@@ -206,14 +190,14 @@ impl<'m> RankCtx<'m> {
         root: usize,
         data: Option<Vec<u64>>,
     ) -> Arc<Vec<u64>> {
-        self.trace_begin("coll", "bcast");
+        self.emit(RankEvent::SpanBegin("coll", "bcast"));
         let payload = if comm.rank() == root {
             Some(Payload::u64(data.expect("root must supply the payload")))
         } else {
             None
         };
         let out = self.bcast_payload(comm, root, payload).into_shared_u64();
-        self.trace_end("coll", "bcast");
+        self.emit(RankEvent::SpanEnd("coll", "bcast"));
         out
     }
 
@@ -233,7 +217,7 @@ impl<'m> RankCtx<'m> {
         chunk_elems: usize,
     ) {
         assert!(chunk_elems > 0, "chunk size must be positive");
-        self.trace_begin("coll", "bcast_pipelined");
+        self.emit(RankEvent::SpanBegin("coll", "bcast_pipelined"));
         let p = comm.size();
         let me = comm.rank();
         let seq = self.coll_site(
@@ -243,7 +227,7 @@ impl<'m> RankCtx<'m> {
             chunk_elems as u64,
         );
         if p == 1 {
-            self.trace_end("coll", "bcast_pipelined");
+            self.emit(RankEvent::SpanEnd("coll", "bcast_pipelined"));
             return;
         }
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
@@ -272,10 +256,10 @@ impl<'m> RankCtx<'m> {
         }
         let total = header[0] as usize;
         let nchunks = total.div_ceil(chunk_elems).max(1);
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_tag_space(seq, nchunks as u64, t);
-        }
+        self.emit(RankEvent::CollTagSpace {
+            seq,
+            chunks: nchunks as u64,
+        });
         let mut out: Vec<f64> = if rel == 0 {
             std::mem::take(buf)
         } else {
@@ -299,7 +283,7 @@ impl<'m> RankCtx<'m> {
             }
         }
         *buf = out;
-        self.trace_end("coll", "bcast_pipelined");
+        self.emit(RankEvent::SpanEnd("coll", "bcast_pipelined"));
     }
 
     fn recv_payload_u64(&mut self, comm: &Comm, src_index: usize, tag: u64) -> Vec<u64> {
@@ -312,14 +296,14 @@ impl<'m> RankCtx<'m> {
 
     /// `MPI_Bcast` of u64 values.
     pub fn bcast_u64(&mut self, comm: &Comm, root: usize, buf: &mut Vec<u64>) {
-        self.trace_begin("coll", "bcast");
+        self.emit(RankEvent::SpanBegin("coll", "bcast"));
         let payload = if comm.rank() == root {
             Some(Payload::u64(std::mem::take(buf)))
         } else {
             None
         };
         *buf = self.bcast_payload(comm, root, payload).expect_u64();
-        self.trace_end("coll", "bcast");
+        self.emit(RankEvent::SpanEnd("coll", "bcast"));
     }
 
     /// Binomial-tree reduction of f64 vectors toward `root` with a custom
@@ -332,9 +316,9 @@ impl<'m> RankCtx<'m> {
         acc: Vec<f64>,
         op: impl Fn(&mut [f64], &[f64]),
     ) -> Option<Vec<f64>> {
-        self.trace_begin("coll", "reduce");
+        self.emit(RankEvent::SpanBegin("coll", "reduce"));
         let out = self.reduce_f64_with_impl(comm, root, acc, op);
-        self.trace_end("coll", "reduce");
+        self.emit(RankEvent::SpanEnd("coll", "reduce"));
         out
     }
 
@@ -415,12 +399,12 @@ impl<'m> RankCtx<'m> {
         let p2 = prev_pow2(p);
         let r = p - p2;
         let steps = p2.trailing_zeros() as u64;
-        if self.checker.enabled() {
-            // Tag chunks: 0 = fold, 1..=steps = butterfly rounds,
-            // steps+1 = unfold.
-            let t = self.clock;
-            self.checker.coll_tag_space(seq, steps + 2, t);
-        }
+        // Tag chunks: 0 = fold, 1..=steps = butterfly rounds, steps+1 =
+        // unfold.
+        self.emit(RankEvent::CollTagSpace {
+            seq,
+            chunks: steps + 2,
+        });
         let tag = |chunk: u64| compose_coll_tag(seq, chunk);
         // Fold phase: even ranks below 2r contribute to their odd
         // neighbour and sit out the butterfly.
@@ -472,16 +456,16 @@ impl<'m> RankCtx<'m> {
     /// the contribution skip the copy.
     pub fn allreduce_sum_owned_f64(&mut self, comm: &Comm, data: Vec<f64>) -> Vec<f64> {
         if 8 * data.len() as u64 <= COLL_SMALL_BYTES {
-            self.trace_begin("coll", "allreduce");
+            self.emit(RankEvent::SpanBegin("coll", "allreduce"));
             let reduced = self.reduce_f64_with(comm, 0, data, sum_op);
             let mut buf = reduced.unwrap_or_default();
             self.bcast_f64(comm, 0, &mut buf);
-            self.trace_end("coll", "allreduce");
+            self.emit(RankEvent::SpanEnd("coll", "allreduce"));
             buf
         } else {
-            self.trace_begin("coll", "allreduce_rd");
+            self.emit(RankEvent::SpanBegin("coll", "allreduce_rd"));
             let out = self.allreduce_rd(comm, data, sum_op);
-            self.trace_end("coll", "allreduce_rd");
+            self.emit(RankEvent::SpanEnd("coll", "allreduce_rd"));
             out
         }
     }
@@ -490,7 +474,7 @@ impl<'m> RankCtx<'m> {
     /// below [`COLL_SMALL_BYTES`], so the size rule resolves statically to
     /// the reduce-then-broadcast tree pair.
     pub fn allreduce_max_f64(&mut self, comm: &Comm, v: f64) -> f64 {
-        self.trace_begin("coll", "allreduce");
+        self.emit(RankEvent::SpanBegin("coll", "allreduce"));
         let reduced = self.reduce_f64_with(comm, 0, vec![v], |a, b| {
             if b[0] > a[0] {
                 a[0] = b[0];
@@ -498,7 +482,7 @@ impl<'m> RankCtx<'m> {
         });
         let mut buf = reduced.unwrap_or_default();
         self.bcast_f64(comm, 0, &mut buf);
-        self.trace_end("coll", "allreduce");
+        self.emit(RankEvent::SpanEnd("coll", "allreduce"));
         buf[0]
     }
 
@@ -509,7 +493,7 @@ impl<'m> RankCtx<'m> {
     /// resolves statically to the tree pair — which is also what the
     /// paper's per-column message formulas count.
     pub fn allreduce_maxloc_abs(&mut self, comm: &Comm, v: f64, loc: u64) -> (f64, u64) {
-        self.trace_begin("coll", "allreduce_maxloc");
+        self.emit(RankEvent::SpanBegin("coll", "allreduce_maxloc"));
         let reduced = self.reduce_f64_with(comm, 0, vec![v, loc as f64], |a, b| {
             let better = b[0].abs() > a[0].abs() || (b[0].abs() == a[0].abs() && b[1] < a[1]);
             if better {
@@ -519,7 +503,7 @@ impl<'m> RankCtx<'m> {
         });
         let mut buf = reduced.unwrap_or_default();
         self.bcast_f64(comm, 0, &mut buf);
-        self.trace_end("coll", "allreduce_maxloc");
+        self.emit(RankEvent::SpanEnd("coll", "allreduce_maxloc"));
         (buf[0], buf[1] as u64)
     }
 
@@ -553,11 +537,11 @@ impl<'m> RankCtx<'m> {
     /// `MPI_Gather` of variable-length f64 chunks: the root receives every
     /// member's chunk (its own included), ordered by communicator rank.
     pub fn gather_f64(&mut self, comm: &Comm, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        self.trace_begin("coll", "gather");
+        self.emit(RankEvent::SpanBegin("coll", "gather"));
         let result = self
             .gather_payloads(comm, root, Payload::f64(data.to_vec()))
             .map(|chunks| chunks.into_iter().map(Payload::expect_f64).collect());
-        self.trace_end("coll", "gather");
+        self.emit(RankEvent::SpanEnd("coll", "gather"));
         result
     }
 
@@ -569,11 +553,11 @@ impl<'m> RankCtx<'m> {
         root: usize,
         data: &[f64],
     ) -> Option<Vec<Arc<Vec<f64>>>> {
-        self.trace_begin("coll", "gather");
+        self.emit(RankEvent::SpanBegin("coll", "gather"));
         let result = self
             .gather_payloads(comm, root, Payload::f64(data.to_vec()))
             .map(|chunks| chunks.into_iter().map(Payload::into_shared_f64).collect());
-        self.trace_end("coll", "gather");
+        self.emit(RankEvent::SpanEnd("coll", "gather"));
         result
     }
 
@@ -591,10 +575,10 @@ impl<'m> RankCtx<'m> {
         let mut chunks: Vec<Option<Payload>> = (0..p).map(|_| None).collect();
         chunks[me] = Some(Payload::f64(data.to_vec()));
         if p > 1 {
-            if self.checker.enabled() {
-                let t = self.clock;
-                self.checker.coll_tag_space(seq, (p - 1) as u64, t);
-            }
+            self.emit(RankEvent::CollTagSpace {
+                seq,
+                chunks: (p - 1) as u64,
+            });
             let right = (me + 1) % p;
             let left = (me + p - 1) % p;
             for s in 0..p - 1 {
@@ -620,26 +604,26 @@ impl<'m> RankCtx<'m> {
     /// [`RankCtx::allgather_shared_f64`], which skips materialising owned
     /// copies of chunks still shared with in-flight forwards.
     pub fn allgather_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
-        self.trace_begin("coll", "allgather_ring");
+        self.emit(RankEvent::SpanBegin("coll", "allgather_ring"));
         let out = self
             .allgather_ring(comm, data)
             .into_iter()
             .map(Payload::expect_f64)
             .collect();
-        self.trace_end("coll", "allgather_ring");
+        self.emit(RankEvent::SpanEnd("coll", "allgather_ring"));
         out
     }
 
     /// Zero-copy ring allgather: every chunk comes back as its
     /// originator's shared allocation.
     pub fn allgather_shared_f64(&mut self, comm: &Comm, data: &[f64]) -> Vec<Arc<Vec<f64>>> {
-        self.trace_begin("coll", "allgather_ring");
+        self.emit(RankEvent::SpanBegin("coll", "allgather_ring"));
         let out = self
             .allgather_ring(comm, data)
             .into_iter()
             .map(Payload::into_shared_f64)
             .collect();
-        self.trace_end("coll", "allgather_ring");
+        self.emit(RankEvent::SpanEnd("coll", "allgather_ring"));
         out
     }
 
@@ -668,7 +652,7 @@ impl<'m> RankCtx<'m> {
     /// fallback of [`RankCtx::allgather_sized_f64`] and as the reference
     /// algorithm the bench suite measures the ring against.
     pub fn allgather_f64_tree(&mut self, comm: &Comm, data: &[f64]) -> Vec<Vec<f64>> {
-        self.trace_begin("coll", "allgather_tree");
+        self.emit(RankEvent::SpanBegin("coll", "allgather_tree"));
         let gathered = self.gather_f64(comm, 0, data);
         let (mut counts, mut flat) = match gathered {
             Some(chunks) => {
@@ -687,7 +671,7 @@ impl<'m> RankCtx<'m> {
             out.push(flat[off..off + c].to_vec());
             off += c;
         }
-        self.trace_end("coll", "allgather_tree");
+        self.emit(RankEvent::SpanEnd("coll", "allgather_tree"));
         out
     }
 }

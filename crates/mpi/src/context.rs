@@ -3,17 +3,17 @@
 use crate::comm::{Comm, WORLD_ID};
 use crate::envelope::{Envelope, Payload};
 use crate::mailbox::EventMailboxes;
+use crate::observe::{Observer, RankEvent, RecvOp};
 use crate::registry::{Registry, SplitEntry};
 use crate::sched::WakeReason;
 use crate::traffic::Traffic;
-use greenla_check::{CollEvent, CollKind, RankChecker};
+use greenla_check::{CollEvent, CollKind};
 use greenla_cluster::ledger::{ActivityKind, Interval, Ledger};
 use greenla_cluster::placement::Placement;
 use greenla_cluster::spec::ClusterSpec;
 use greenla_cluster::topology::CoreId;
 use greenla_cluster::PowerModel;
 use greenla_faults::{retry_backoff_s, MsgFaultKind, RankFaults, MAX_SEND_RETRIES};
-use greenla_trace::RankTracer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -45,18 +45,15 @@ pub struct RankCtx<'m> {
     /// as ranks issue collectives in the same order — the MPI contract).
     pub(crate) seqs: HashMap<u64, u64>,
     pub(crate) world_members: Arc<Vec<usize>>,
-    /// Event recorder for this rank; a no-op unless the machine has an
-    /// enabled [`greenla_trace::TraceSink`] attached.
-    pub(crate) tracer: RankTracer,
-    /// Correctness-checker hooks for this rank; a no-op unless the machine
-    /// has an enabled [`greenla_check::CheckSink`] attached. Hooks only
-    /// observe the virtual clocks, never advance them.
-    pub(crate) checker: RankChecker,
+    /// Consumers of this rank's [`RankEvent`] stream: the trace and check
+    /// sinks attached to the machine. They only observe the virtual
+    /// clocks, never advance them.
+    pub(crate) observer: Observer,
     /// Planned-fault state for this rank; a no-op unless the machine has
     /// an enabled [`greenla_faults::FaultSink`] attached. Unlike the
-    /// observers above, active faults *do* perturb virtual time (that is
-    /// their point) — but a disabled handle costs one branch per hook and
-    /// leaves the timeline untouched.
+    /// observers, active faults *do* perturb virtual time (that is their
+    /// point) — but a disabled handle costs one branch per hook and leaves
+    /// the timeline untouched.
     pub(crate) faults: RankFaults,
 }
 
@@ -117,32 +114,14 @@ impl<'m> RankCtx<'m> {
         self.placement
     }
 
-    // ----- event tracing ---------------------------------------------------------
+    // ----- observer stream -------------------------------------------------------
 
-    /// Is event tracing active for this run? Workloads can skip building
-    /// span labels when it is not.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
-    /// Open a trace span at the current virtual time. Spans on one rank
-    /// must nest (close in LIFO order). No-op when tracing is disabled.
-    pub fn trace_begin(&mut self, cat: &'static str, name: &str) {
+    /// Report `ev` at the current virtual time to the machine's trace and
+    /// check sinks. One branch and no work when neither is attached.
+    #[inline(always)]
+    pub fn emit(&mut self, ev: RankEvent<'_>) {
         let t = self.clock;
-        self.tracer.begin(cat, name, t);
-    }
-
-    /// Close the innermost open span with this name at the current virtual
-    /// time.
-    pub fn trace_end(&mut self, cat: &'static str, name: &str) {
-        let t = self.clock;
-        self.tracer.end(cat, name, t);
-    }
-
-    /// Record a zero-duration marker at the current virtual time.
-    pub fn trace_instant(&mut self, name: &str) {
-        let t = self.clock;
-        self.tracer.instant(name, t);
+        self.observer.emit(t, ev);
     }
 
     // ----- fault injection -------------------------------------------------------
@@ -164,6 +143,13 @@ impl<'m> RankCtx<'m> {
         &self.faults
     }
 
+    /// This rank's node downgraded itself to "unmeasured" after a
+    /// monitoring fault: count it and mark it in the stream.
+    pub fn note_degraded(&mut self) {
+        self.faults.note_degraded();
+        self.emit(RankEvent::Fault("fault:monitor_degraded"));
+    }
+
     /// An injection point: every compute and send entry passes through
     /// here, advancing the per-rank call counter and firing a planned
     /// crash when due. The rank dies by panic; the machine poisons the
@@ -174,8 +160,7 @@ impl<'m> RankCtx<'m> {
             return;
         }
         if let Some(msg) = self.faults.crash_due(self.clock) {
-            let t = self.clock;
-            self.tracer.instant("fault:crash", t);
+            self.emit(RankEvent::Fault("fault:crash"));
             panic!("{msg}");
         }
     }
@@ -236,25 +221,13 @@ impl<'m> RankCtx<'m> {
             self.ledger
                 .record_dram(self.core.node, self.core.socket, self.clock, dram_bytes);
         }
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.begin_with_args(
-                "compute",
-                "compute",
-                t,
-                &[("flops", flops as f64), ("dram_bytes", dram_bytes as f64)],
-            );
-        }
         let t0 = self.clock;
         self.busy(t_flops.max(t_mem), ActivityKind::Compute, flops);
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.end("compute", "compute", t);
-        }
-        if self.checker.enabled() {
-            let t1 = self.clock;
-            self.checker.compute(t0, t1);
-        }
+        self.emit(RankEvent::Compute {
+            t0,
+            flops,
+            dram_bytes,
+        });
     }
 
     /// Charge a pure memory operation (allocation, initialisation, copies)
@@ -290,31 +263,19 @@ impl<'m> RankCtx<'m> {
         let bytes = payload.size_bytes();
         let same_node = self.placement.node_of(dst) == self.core.node;
         let o = self.spec.net.per_message_overhead_s;
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.begin_with_args(
-                "comm",
-                "send",
-                t,
-                &[("bytes", bytes as f64), ("dst", dst as f64)],
-            );
-        }
+        self.emit(RankEvent::SendBegin { dst, bytes });
         self.busy(o, ActivityKind::Comm, 0);
         if let Some(MsgFaultKind::Drop { count }) = fault {
             // Sender-side retry with exponential virtual backoff: each
             // dropped attempt costs busy time, so faults leave a visible,
             // deterministic footprint in the timeline.
             self.faults.record_drop_injected(count as u64);
-            let t = self.clock;
-            self.tracer.instant("fault:drop", t);
+            self.emit(RankEvent::Fault("fault:drop"));
             for attempt in 0..count.min(MAX_SEND_RETRIES + 1) {
                 self.busy(retry_backoff_s(o, attempt), ActivityKind::Comm, 0);
             }
             if count > MAX_SEND_RETRIES {
-                if self.tracer.enabled() {
-                    let t = self.clock;
-                    self.tracer.end("comm", "send", t);
-                }
+                self.emit(RankEvent::SpanEnd("comm", "send"));
                 panic!(
                     "injected fault: rank {} lost message to rank {dst} after \
                      {MAX_SEND_RETRIES} retries (comm {}, tag {tag})",
@@ -330,8 +291,7 @@ impl<'m> RankCtx<'m> {
             arrival += extra_s;
             delayed = true;
             self.faults.record_delay_injected();
-            let t = self.clock;
-            self.tracer.instant("fault:delay", t);
+            self.emit(RankEvent::Fault("fault:delay"));
         }
         let duplicate = matches!(fault, Some(MsgFaultKind::Duplicate));
         self.traffic.record(bytes, same_node);
@@ -339,8 +299,7 @@ impl<'m> RankCtx<'m> {
             // The phantom copy crosses the wire too; the receiver discards
             // it on sight.
             self.faults.record_dup_injected();
-            let t = self.clock;
-            self.tracer.instant("fault:dup", t);
+            self.emit(RankEvent::Fault("fault:dup"));
             self.traffic.record(bytes, same_node);
             self.mailboxes.post(
                 dst,
@@ -367,14 +326,7 @@ impl<'m> RankCtx<'m> {
                 delayed,
             },
         );
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.end("comm", "send", t);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.sent(dst, comm.id(), tag, t);
-        }
+        self.emit(RankEvent::SendEnd);
     }
 
     /// Move the next wire envelope into the pending queue, blocking until
@@ -387,77 +339,86 @@ impl<'m> RankCtx<'m> {
                 break env;
             }
             if self.registry.is_poisoned() {
-                panic!("{}", self.checker.abort_message());
+                self.registry.abort();
             }
             let engine = self.mailboxes.engine();
             if engine.orphaned() {
-                // Every runnable task finished and nobody can wake us;
-                // with checking on, the probe names the wait-for cycle.
-                if self.checker.enabled() {
-                    self.registry.report_quiescent_deadlock();
-                }
-                panic!(
-                    "all peers gone while rank {} waits for ({src}, {tag})",
-                    self.rank
-                );
+                self.registry.report_orphaned(self.rank, src, tag);
             }
             match engine.block_current() {
                 WakeReason::Woken => {}
                 WakeReason::Quiescent => self.registry.report_quiescent_deadlock(),
             }
         };
+        self.accept(env);
+    }
+
+    /// File one wire envelope: an abort control message ends the rank; an
+    /// injected duplicate is discarded on sight, so neither matching nor
+    /// the observers ever see it; anything else joins the pending queue.
+    fn accept(&mut self, env: Envelope) {
         if env.is_control() {
-            panic!("{}", self.checker.abort_message());
+            self.registry.abort();
         }
         if env.dup {
-            // Injected duplicate: discard on sight — it never reaches the
-            // pending queue, so matching logic and the checker never see it.
             self.faults.record_dup_discarded();
-            let t = self.clock;
-            self.tracer.instant("fault:dup_discarded", t);
+            self.emit(RankEvent::Fault("fault:dup_discarded"));
             return;
         }
         self.pending.push(env);
     }
 
-    pub(crate) fn recv_payload(&mut self, comm: &Comm, src_index: usize, tag: u64) -> Payload {
-        let src = comm.global_rank(src_index);
+    /// Charge the receive of a message that arrived at `arrival`: the
+    /// rank spins until it has both waited out the arrival and paid the
+    /// per-message overhead.
+    fn charge_recv(&mut self, arrival: f64) {
+        let o = self.spec.net.per_message_overhead_s;
+        let done = (self.clock + o).max(arrival + o);
+        self.busy_until(done, ActivityKind::Comm);
+    }
+
+    /// Blocking receive of the message `(src, comm, tag)` (`src` a global
+    /// rank). A [`RecvOp::Idle`] wait is not recorded as busy time: the
+    /// clock jumps to the arrival and only the wake-up/copy overhead is
+    /// charged.
+    fn recv_envelope(&mut self, op: RecvOp, comm: &Comm, src: usize, tag: u64) -> Envelope {
         assert!(src != self.rank, "self-receive on comm {}", comm.id());
         let cid = comm.id();
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer
-                .begin_with_args("comm", "recv", t, &[("src", src as f64)]);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.block_recv(src, cid, tag, t);
-        }
-        loop {
+        self.emit(RankEvent::RecvBegin {
+            op,
+            src,
+            comm: cid,
+            tag,
+        });
+        let env = loop {
             if let Some(pos) = self
                 .pending
                 .iter()
                 .position(|e| e.src == src && e.comm_id == cid && e.tag == tag)
             {
-                let env = self.pending.remove(pos);
-                if env.delayed {
-                    self.faults.record_delay_observed();
-                }
-                let o = self.spec.net.per_message_overhead_s;
-                let done = (self.clock + o).max(env.arrival + o);
-                self.busy_until(done, ActivityKind::Comm);
-                if self.tracer.enabled() {
-                    let t = self.clock;
-                    self.tracer.end("comm", "recv", t);
-                }
-                if self.checker.enabled() {
-                    let t = self.clock;
-                    self.checker.unblock_recv(env.arrival, t);
-                }
-                return env.payload;
+                break self.pending.remove(pos);
             }
             self.pump_mailbox(src, tag);
+        };
+        if env.delayed {
+            self.faults.record_delay_observed();
         }
+        if op == RecvOp::Idle {
+            if env.arrival > self.clock {
+                self.clock = env.arrival;
+            }
+            self.busy(self.spec.net.per_message_overhead_s, ActivityKind::Comm, 0);
+        } else {
+            self.charge_recv(env.arrival);
+        }
+        let arrival = env.arrival;
+        self.emit(RankEvent::RecvEnd { op, arrival });
+        env
+    }
+
+    pub(crate) fn recv_payload(&mut self, comm: &Comm, src_index: usize, tag: u64) -> Payload {
+        let src = comm.global_rank(src_index);
+        self.recv_envelope(RecvOp::Recv, comm, src, tag).payload
     }
 
     /// Receive one message with `tag` from *every* rank in `srcs`
@@ -486,18 +447,18 @@ impl<'m> RankCtx<'m> {
         if srcs_g.is_empty() {
             return Vec::new();
         }
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer
-                .begin_with_args("comm", "recv_set", t, &[("count", srcs_g.len() as f64)]);
-        }
-        if self.checker.enabled() {
-            // One wait-for edge toward a representative source keeps the
-            // deadlock probe sound: if this rank can never be satisfied,
-            // the whole system is still blocked and the probe fires.
-            let t = self.clock;
-            self.checker.block_recv(srcs_g[0], cid, tag, t);
-        }
+        // One wait-for edge toward a representative source keeps the
+        // deadlock probe sound: if this rank can never be satisfied, the
+        // whole system is still blocked and the probe fires.
+        let op = RecvOp::Set {
+            count: srcs_g.len(),
+        };
+        self.emit(RankEvent::RecvBegin {
+            op,
+            src: srcs_g[0],
+            comm: cid,
+            tag,
+        });
         let mut got: Vec<Envelope> = Vec::with_capacity(srcs_g.len());
         while got.len() < srcs_g.len() {
             while let Some(pos) = self
@@ -519,33 +480,20 @@ impl<'m> RankCtx<'m> {
                 .expect("finite arrivals")
                 .then(a.src.cmp(&b.src))
         });
-        let o = self.spec.net.per_message_overhead_s;
         let mut max_arrival: f64 = 0.0;
         for env in &got {
             if env.delayed {
                 self.faults.record_delay_observed();
             }
-            if self.tracer.enabled() {
-                let t = self.clock;
-                self.tracer
-                    .begin_with_args("comm", "recv", t, &[("src", env.src as f64)]);
-            }
-            let done = (self.clock + o).max(env.arrival + o);
-            self.busy_until(done, ActivityKind::Comm);
-            if self.tracer.enabled() {
-                let t = self.clock;
-                self.tracer.end("comm", "recv", t);
-            }
+            let t0 = self.clock;
+            self.charge_recv(env.arrival);
+            self.emit(RankEvent::RecvPart { src: env.src, t0 });
             max_arrival = max_arrival.max(env.arrival);
         }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.unblock_recv(max_arrival, t);
-        }
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer.end("comm", "recv_set", t);
-        }
+        self.emit(RankEvent::RecvEnd {
+            op,
+            arrival: max_arrival,
+        });
         // Hand payloads back aligned with the caller's source list.
         let mut out: Vec<Option<Payload>> = (0..srcs_g.len()).map(|_| None).collect();
         for env in got {
@@ -574,16 +522,7 @@ impl<'m> RankCtx<'m> {
         let src = comm.global_rank(src_index);
         let cid = comm.id();
         while let Some(env) = self.mailboxes.try_pop(self.rank) {
-            if env.is_control() {
-                panic!("{}", self.checker.abort_message());
-            }
-            if env.dup {
-                self.faults.record_dup_discarded();
-                let t = self.clock;
-                self.tracer.instant("fault:dup_discarded", t);
-                continue;
-            }
-            self.pending.push(env);
+            self.accept(env);
         }
         self.pending
             .iter()
@@ -597,46 +536,10 @@ impl<'m> RankCtx<'m> {
     /// message's arrival.
     pub fn recv_f64_idle(&mut self, comm: &Comm, src: usize, tag: u64) -> Vec<f64> {
         assert!(tag < COLL_TAG, "user tag too large");
-        let src_g = comm.global_rank(src);
-        let cid = comm.id();
-        if self.tracer.enabled() {
-            let t = self.clock;
-            self.tracer
-                .begin_with_args("comm", "recv_idle", t, &[("src", src_g as f64)]);
-        }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.block_recv(src_g, cid, tag, t);
-        }
-        loop {
-            if let Some(pos) = self
-                .pending
-                .iter()
-                .position(|e| e.src == src_g && e.comm_id == cid && e.tag == tag)
-            {
-                let env = self.pending.remove(pos);
-                if env.delayed {
-                    self.faults.record_delay_observed();
-                }
-                // Advance without recording a busy interval, then charge
-                // only the wake-up/copy overhead.
-                let o = self.spec.net.per_message_overhead_s;
-                if env.arrival > self.clock {
-                    self.clock = env.arrival;
-                }
-                self.busy(o, ActivityKind::Comm, 0);
-                if self.tracer.enabled() {
-                    let t = self.clock;
-                    self.tracer.end("comm", "recv_idle", t);
-                }
-                if self.checker.enabled() {
-                    let t = self.clock;
-                    self.checker.unblock_recv(env.arrival, t);
-                }
-                return env.payload.expect_f64();
-            }
-            self.pump_mailbox(src_g, tag);
-        }
+        let src = comm.global_rank(src);
+        self.recv_envelope(RecvOp::Idle, comm, src, tag)
+            .payload
+            .expect_f64()
     }
 
     /// Send a slice of doubles to `dst` (communicator index) with `tag`.
@@ -687,63 +590,52 @@ impl<'m> RankCtx<'m> {
         }
     }
 
-    /// `MPI_Barrier`: blocks until every member arrives; all leave at
-    /// `max(arrival) + α·⌈log₂ P⌉`.
-    /// Record a collective entry with the checker (no-op when checking is
-    /// disabled).
-    pub(crate) fn check_enter_coll(&mut self, ev: CollEvent, members: &[usize]) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_tag_space(ev.seq, 0, t);
-            self.checker.enter_coll(ev, members, t);
-        }
+    /// Allocate the next sequence number on `comm` for a collective of
+    /// `kind` and announce its lockstep signature to the stream.
+    pub(crate) fn coll_site(
+        &mut self,
+        comm: &Comm,
+        kind: CollKind,
+        root: Option<usize>,
+        elems: u64,
+    ) -> u64 {
+        let seq = self.next_seq(comm.id());
+        let ev = CollEvent {
+            comm: comm.id(),
+            seq,
+            kind,
+            root,
+            elems,
+        };
+        let members = comm.members();
+        self.emit(RankEvent::CollEnter { ev, members });
+        seq
     }
 
+    /// `MPI_Barrier`: blocks until every member arrives; all leave at
+    /// `max(arrival) + α·⌈log₂ P⌉`.
     pub fn barrier(&mut self, comm: &Comm) {
-        self.trace_begin("coll", "barrier");
+        self.emit(RankEvent::SpanBegin("coll", "barrier"));
         let p = comm.size();
-        let seq = self.next_seq(comm.id());
-        self.check_enter_coll(
-            CollEvent {
-                comm: comm.id(),
-                seq,
-                kind: CollKind::Barrier,
-                root: None,
-                elems: 0,
-            },
-            comm.members(),
-        );
+        let seq = self.coll_site(comm, CollKind::Barrier, None, 0);
         if p > 1 {
             let cost = self.coll_alpha(comm) * (p as f64).log2().ceil()
                 + self.spec.net.per_message_overhead_s;
             let release = self.registry.barrier(comm.id(), seq, p, self.clock, cost);
             self.busy_until(release, ActivityKind::Comm);
         }
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_done(t);
-        }
-        self.trace_end("coll", "barrier");
+        self.emit(RankEvent::CollDone);
+        self.emit(RankEvent::SpanEnd("coll", "barrier"));
     }
 
     /// `MPI_Comm_split`: partition `comm` by `color`, ordering each new
     /// communicator by `(key, global rank)`.
     pub fn split(&mut self, comm: &Comm, color: u64, key: u64) -> Comm {
-        self.trace_begin("coll", "comm_split");
+        self.emit(RankEvent::SpanBegin("coll", "comm_split"));
         let p = comm.size();
         let cost = self.coll_alpha(comm) * (p as f64).log2().ceil().max(1.0)
             + self.spec.net.per_message_overhead_s;
-        let seq = self.next_seq(comm.id());
-        self.check_enter_coll(
-            CollEvent {
-                comm: comm.id(),
-                seq,
-                kind: CollKind::Split,
-                root: None,
-                elems: 0,
-            },
-            comm.members(),
-        );
+        let seq = self.coll_site(comm, CollKind::Split, None, 0);
         let out = self.registry.split(SplitEntry {
             parent_id: comm.id(),
             seq,
@@ -755,64 +647,16 @@ impl<'m> RankCtx<'m> {
             cost,
         });
         self.busy_until(out.release_t, ActivityKind::Comm);
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.coll_done(t);
-        }
-        self.trace_end("coll", "comm_split");
+        self.emit(RankEvent::CollDone);
+        self.emit(RankEvent::SpanEnd("coll", "comm_split"));
         Comm::new(out.comm_id, out.members, out.my_index)
     }
 
-    /// `MPI_Comm_split_type(MPI_COMm_TYPE_SHARED)`: one communicator per
+    /// `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`: one communicator per
     /// node, members ordered by global rank — so the "highest rank on the
     /// node" designation used by the monitoring framework is well defined.
     pub fn split_shared(&mut self, comm: &Comm) -> Comm {
         self.split(comm, self.core.node as u64, self.rank as u64)
-    }
-
-    // ----- correctness checking --------------------------------------------------
-
-    /// Is correctness checking active for this run?
-    pub fn check_enabled(&self) -> bool {
-        self.checker.enabled()
-    }
-
-    /// Tell the checker which communicator is this rank's node
-    /// communicator in the Figure-2 monitoring choreography. Called by the
-    /// monitoring layer right after `split_shared`.
-    pub fn check_monitor_node_comm(&mut self, node_comm: &Comm) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.monitor_node_comm(node_comm.id(), t);
-        }
-    }
-
-    /// Tell the checker `start_monitoring` ran on this rank (MON001: the
-    /// designated monitoring rank is the node's highest rank).
-    pub fn check_monitor_start(&mut self) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.monitor_start(t);
-        }
-    }
-
-    /// Tell the checker `end_monitoring` ran on this rank
-    /// (MON002/MON003/MON004: start before end, node barrier immediately
-    /// before, no work straddling the window).
-    pub fn check_monitor_end(&mut self) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.monitor_end(t);
-        }
-    }
-
-    /// Mark this rank finished for the wait-for graph (called by the
-    /// machine when the rank's closure returns).
-    pub(crate) fn check_finished(&mut self) {
-        if self.checker.enabled() {
-            let t = self.clock;
-            self.checker.rank_finished(t);
-        }
     }
 }
 

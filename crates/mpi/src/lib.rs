@@ -26,18 +26,27 @@
 //! `MPI_Barrier` → [`RankCtx::barrier`], plus broadcast/reduce/gather and
 //! matched-pair send/recv.
 //!
-//! The runtime is instrumented with [`greenla_trace`] spans (compute,
-//! point-to-point, every collective). Attach a sink with
-//! [`Machine::with_trace`] to record them; tracing only *observes* the
-//! virtual clocks, so traced and untraced runs have identical timings.
+//! Every instrumented site — compute, each send and receive, every
+//! collective, and the spans, phase marks, fault marks and monitoring
+//! milestones the layers above report through [`RankCtx::emit`] — emits
+//! one [`RankEvent`] into the rank's observer stream (the [`observe`]
+//! module). One fan-out feeds two consumers:
 //!
-//! The same hooks feed [`greenla_check`], a MUST-style dynamic correctness
-//! checker: attach a sink with [`Machine::with_check`] and the runtime
-//! reports deadlocks (with the wait-for cycle, instead of hanging),
-//! collective lockstep mismatches, leaked messages at finalize, monitor
-//! protocol breaches, and clock-causality bugs as structured
-//! [`Violation`]s. Checking, like tracing, never advances a clock: a
-//! checked run is bit-identical in timing to an unchecked one.
+//! * [`greenla_trace`]: attach a sink with [`Machine::with_trace`] and the
+//!   events become spans and instant markers (see the harness's Chrome
+//!   trace export);
+//! * [`greenla_check`], a MUST-style dynamic correctness checker: attach a
+//!   sink with [`Machine::with_check`] and the runtime reports deadlocks
+//!   (with the wait-for cycle, instead of hanging), collective lockstep
+//!   mismatches, leaked messages at finalize, monitor protocol breaches,
+//!   and clock-causality bugs as structured [`Violation`]s.
+//!
+//! Consumers only *observe* the virtual clocks, so a run with either, both
+//! or neither attached has identical timings. With neither attached an
+//! emit costs one branch and builds no event. Fault injection
+//! ([`FaultSink`]) is not a consumer: active faults perturb time, so they
+//! stay a separate per-rank handle and only their `fault:*` marks travel
+//! through the stream.
 
 pub mod coll;
 pub mod comm;
@@ -46,6 +55,7 @@ pub mod envelope;
 pub mod error;
 pub mod machine;
 pub(crate) mod mailbox;
+pub mod observe;
 pub mod registry;
 pub mod sched;
 pub mod traffic;
@@ -61,5 +71,6 @@ pub use greenla_faults::{
 };
 pub use greenla_trace::{EventKind, TraceEvent, TraceSink};
 pub use machine::{Machine, RunOutput};
+pub use observe::{RankEvent, RecvOp};
 pub use sched::SchedulerKind;
 pub use traffic::{Traffic, TrafficSnapshot};

@@ -5,6 +5,7 @@ use crate::context::RankCtx;
 use crate::envelope::Envelope;
 use crate::error::MachineError;
 use crate::mailbox::EventMailboxes;
+use crate::observe::{Observer, RankEvent};
 use crate::registry::Registry;
 use crate::sched::{Engine, SchedulerKind};
 use crate::traffic::{Traffic, TrafficSnapshot};
@@ -288,15 +289,14 @@ impl Machine {
                 pending: Vec::new(),
                 seqs: Default::default(),
                 world_members: Arc::clone(&world_members),
-                tracer: self.trace.tracer(rank, core.node),
-                checker: self.check.checker(rank, core.node),
+                observer: Observer::new(&self.trace, &self.check, rank, core.node),
                 faults: self.faults.handle(rank, core.node),
             };
             match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                 Ok(r) => {
                     *results[rank].lock() = Some(r);
                     *clocks[rank].lock() = ctx.clock;
-                    ctx.check_finished();
+                    ctx.emit(RankEvent::Finished);
                     *pendings[rank].lock() = Some(std::mem::take(&mut ctx.pending));
                 }
                 Err(payload) => {

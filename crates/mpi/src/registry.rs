@@ -120,8 +120,24 @@ impl Registry {
 
     fn check_poison(&self) {
         if self.is_poisoned() {
-            panic!("{}", self.check.abort_message());
+            self.abort();
         }
+    }
+
+    /// Die with the run's abort message: the deadlock diagnostic when the
+    /// check sink declared one, the generic peer-failure message otherwise.
+    pub(crate) fn abort(&self) -> ! {
+        panic!("{}", self.check.abort_message());
+    }
+
+    /// The engine found every other task finished while `rank` waits for
+    /// `(src, tag)`: nobody can wake it. With checking on, the deadlock
+    /// probe names the wait-for cycle.
+    pub(crate) fn report_orphaned(&self, rank: usize, src: usize, tag: u64) -> ! {
+        if self.check.is_enabled() {
+            self.report_quiescent_deadlock();
+        }
+        panic!("all peers gone while rank {rank} waits for ({src}, {tag})");
     }
 
     /// The engine detected machine-wide quiescence while this rank

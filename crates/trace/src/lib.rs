@@ -154,16 +154,6 @@ pub struct RankTracer {
 }
 
 impl RankTracer {
-    /// A tracer that records nothing (for contexts built without a sink).
-    pub fn disabled() -> Self {
-        Self {
-            shared: None,
-            rank: 0,
-            node: 0,
-            buf: Vec::new(),
-        }
-    }
-
     /// Is this tracer recording? Callers can skip argument marshalling
     /// when false.
     #[inline]
